@@ -53,7 +53,6 @@ from .decomposability import (
     SheddingSequenceTrace,
     check_shedding_sequence,
     is_shedding_vertex,
-    is_shedding_vertex_by_definition,
     is_vertex_decomposable,
     linear_order_from_certificate,
     render_certificate,

@@ -67,33 +67,6 @@ def is_forest(adj: Sequence[int], mask: int) -> bool:
     return True
 
 
-def has_cycle_dfs(adj: Sequence[int], mask: int) -> bool:
-    """Cycle detection by depth-first search back edges.
-
-    Independent of :func:`is_forest`; kept as a cross-check oracle.
-    """
-    visited = 0
-    for root in bits(mask):
-        if visited >> root & 1:
-            continue
-        stack = [(root, -1)]
-        visited |= 1 << root
-        while stack:
-            v, parent = stack.pop()
-            skipped_parent = False
-            for w in bits(adj[v] & mask):
-                if w == parent and not skipped_parent:
-                    # one parent link is tree edge, a second is a multi-edge
-                    # and cannot occur in a simple graph
-                    skipped_parent = True
-                    continue
-                if visited >> w & 1:
-                    return True
-                visited |= 1 << w
-                stack.append((w, v))
-    return False
-
-
 def maximal_independent_sets(adj: Sequence[int], mask: int) -> Iterator[int]:
     """Yield the maximal independent sets of the induced subgraph on ``mask``.
 
@@ -122,20 +95,3 @@ def maximal_independent_sets(adj: Sequence[int], mask: int) -> Iterator[int]:
             x |= 1 << v
 
     yield from expand(0, mask, 0)
-
-
-def independent_sets(adj: Sequence[int], mask: int) -> Iterator[int]:
-    """Yield every independent set (including the empty one) within ``mask``."""
-
-    def expand(chosen: int, todo: int) -> Iterator[int]:
-        if todo == 0:
-            yield chosen
-            return
-        low = todo & -todo
-        v = low.bit_length() - 1
-        yield from expand(chosen, todo & ~low)
-        if not (adj[v] & chosen):
-            yield from expand(chosen | low, todo & ~low & ~adj[v])
-
-    # the second recursion already prunes neighbors, so sets are generated once
-    yield from expand(0, mask)

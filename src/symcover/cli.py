@@ -50,17 +50,20 @@ def _parse_counts(text: str | None) -> dict[str, int] | int:
     out: dict[str, int] = {}
     for item in _parse_names(text):
         name, _, raw = item.partition("=")
-        if not raw:
-            raise GraphError(f"counts entry {item!r} must look like vertex=count")
-        out[name] = int(raw)
+        try:
+            out[name] = int(raw)
+        except ValueError:
+            raise GraphError(f"counts entry {item!r} must look like vertex=count") from None
     return out
 
 
 def _parse_spec(text: str) -> StarCompleteSpec:
     name, _, sizes = text.partition(":")
-    if not sizes:
-        raise GraphError(f"attachment {text!r} must look like vertex:size,size")
-    return StarCompleteSpec(name, tuple(int(s) for s in sizes.split(",")))
+    try:
+        parsed = tuple(int(s) for s in sizes.split(","))
+    except ValueError:
+        raise GraphError(f"attachment {text!r} must look like vertex:size,size") from None
+    return StarCompleteSpec(name, parsed)
 
 
 def _emit_report(report: ScenarioReport, fmt: str) -> None:

@@ -73,59 +73,27 @@ def certificate_vertices(cert: DecompositionCertificate) -> frozenset[str]:
 
 
 def validate_certificate(graph: Graph, cert: DecompositionCertificate) -> bool:
-    """Walk a certificate and re-check every claim it makes."""
-    if certificate_vertices(cert) != frozenset(graph.vertex_names):
-        return False
-    if isinstance(cert, CertificateLeaf):
-        return graph.edge_count == 0
-    x = cert.shedding
-    if not graph.has_vertex(x) or not is_shedding_vertex(graph, x):
-        return False
-    deletion = graph.delete_vertices([x])
-    link = graph.delete_vertices(graph.closed_neighborhood(x))
-    if certificate_vertices(cert.link) != frozenset(link.vertex_names):
-        return False
-    return validate_certificate(deletion, cert.deletion) and validate_certificate(link, cert.link)
+    """Walk a certificate and re-check every claim it makes.
 
-
-# ---------------------------------------------------------------------------
-# shedding vertices
-
-def is_shedding_vertex(graph: Graph, name: str) -> bool:
-    """Neighbor-containment test: every maximal independent set of G - x
-    must contain a neighbor of x."""
-    graph.vertex(name)
-    adj = graph.adjacency_masks()
-    i = graph.index_of(name)
-    mask = graph.full_mask() & ~(1 << i)
-    nbrs = adj[i]
-    for mis in _bitgraph.maximal_independent_sets(adj, mask):
-        if not (mis & nbrs):
-            return False
-    return True
-
-
-def is_shedding_vertex_by_definition(graph: Graph, name: str) -> bool:
-    """Literal test: no independent set of G - N[x] is maximal in G - x.
-
-    Kept as an oracle for the neighbor-containment form; it enumerates all
-    independent sets, so use it only on small graphs.
+    Each node is checked on its vertex mask: the node must cover exactly
+    the vertices of that induced subgraph, a leaf must be edgeless, and a
+    shedding vertex must shed there.
     """
-    graph.vertex(name)
-    adj = graph.adjacency_masks()
-    i = graph.index_of(name)
-    deleted = graph.full_mask() & ~(1 << i)
-    beyond = deleted & ~adj[i]
-    for candidate in _bitgraph.independent_sets(adj, beyond):
-        extendable = False
-        for w in _bitgraph.bits(deleted & ~candidate):
-            if not (adj[w] & candidate):
-                extendable = True
-                break
-        if not extendable:
-            # the candidate is a maximal independent set of G - x
+    engine = DecompositionEngine(graph)
+
+    def holds(mask: int, node: DecompositionCertificate) -> bool:
+        if certificate_vertices(node) != frozenset(graph.names_of(mask)):
             return False
-    return True
+        if isinstance(node, CertificateLeaf):
+            return not _bitgraph.has_edge_within(engine._adj, mask)
+        v = graph.index_of(node.shedding)
+        return (
+            engine.sheds(mask, v)
+            and holds(mask & ~(1 << v), node.deletion)
+            and holds(mask & ~engine._closed(v), node.link)
+        )
+
+    return holds(graph.full_mask(), cert)
 
 
 # ---------------------------------------------------------------------------
@@ -152,18 +120,15 @@ class DecompositionEngine:
     def _closed(self, v: int) -> int:
         return self._adj[v] | (1 << v)
 
-    def mask_of_names(self, names) -> int:
-        return self.graph.mask_of(names)
-
     # -- shedding -----------------------------------------------------------
 
     def sheds(self, mask: int, v: int) -> bool:
         """Shedding test for vertex v inside the induced subgraph ``mask``.
 
-        Equivalent to the neighbor-containment form but enumerates maximal
-        independent sets of the smaller graph G - N[v]: v fails to shed
-        exactly when one of them also dominates every neighbor of v (making
-        it maximal in G - v as well).
+        v sheds when no independent set of G - N[v] is maximal in G - v.
+        It suffices to try the maximal independent sets of G - N[v]: v fails
+        to shed exactly when one of them also dominates every neighbor of v
+        (making it maximal in G - v as well).
         """
         adj = self._adj
         nbrs = adj[v] & mask
@@ -177,9 +142,6 @@ class DecompositionEngine:
             if not blocked:
                 return False
         return True
-
-    def shedding_vertices(self, mask: int) -> list[int]:
-        return [v for v in _bitgraph.bits(mask) if self.sheds(mask, v)]
 
     # -- decomposability ----------------------------------------------------
 
@@ -258,6 +220,11 @@ class DecompositionEngine:
         return self.certificate_for_mask(self._full)
 
 
+def is_shedding_vertex(graph: Graph, name: str) -> bool:
+    """True iff no independent set of G - N[x] is maximal in G - x."""
+    return DecompositionEngine(graph).sheds(graph.full_mask(), graph.index_of(name))
+
+
 def is_vertex_decomposable(graph: Graph) -> DecompositionCertificate | None:
     """Certificate of vertex decomposability, or None when there is none."""
     return DecompositionEngine(graph).certificate()
@@ -274,13 +241,12 @@ def vertex_decomposable(graph: Graph) -> bool:
 @dataclass(frozen=True)
 class SequenceStep:
     """One step of a shedding sequence: the vertex, whether it sheds in the
-    graph it was applied to, and the two graphs it produces."""
+    graph it was applied to, and whether its deletion and link are vertex
+    decomposable."""
 
     vertex: str
     sheds: bool
-    after_deletion: Graph
     after_deletion_vd: bool
-    after_link: Graph
     after_link_vd: bool
 
 
@@ -319,15 +285,11 @@ def check_shedding_sequence(graph: Graph, vertices: Sequence[str]) -> SheddingSe
         sheds = engine.sheds(current, v)
         deletion = current & ~(1 << v)
         link = current & ~engine._closed(v)
-        deletion_graph = graph.induced_subgraph(graph.names_of(deletion))
-        link_graph = graph.induced_subgraph(graph.names_of(link))
         steps.append(
             SequenceStep(
                 vertex=name,
                 sheds=sheds,
-                after_deletion=deletion_graph,
                 after_deletion_vd=engine.is_vd_mask(deletion),
-                after_link=link_graph,
                 after_link_vd=engine.is_vd_mask(link),
             )
         )
@@ -347,8 +309,7 @@ def check_shedding_sequence(graph: Graph, vertices: Sequence[str]) -> SheddingSe
 # ---------------------------------------------------------------------------
 # from certificates to generator orders
 
-def _shelling_facets(engine: DecompositionEngine, mask: int,
-                     cert: DecompositionCertificate) -> list[frozenset[str]]:
+def _shelling_facets(cert: DecompositionCertificate) -> list[frozenset[str]]:
     """Unwind a certificate into a shelling of the independence complex.
 
     Facets of the deletion branch come first, then the link branch's facets
@@ -357,10 +318,8 @@ def _shelling_facets(engine: DecompositionEngine, mask: int,
     """
     if isinstance(cert, CertificateLeaf):
         return [frozenset(cert.vertices)]
-    graph = engine.graph
-    v = graph.index_of(cert.shedding)
-    deletion_facets = _shelling_facets(engine, mask & ~(1 << v), cert.deletion)
-    link_facets = _shelling_facets(engine, mask & ~engine._closed(v), cert.link)
+    deletion_facets = _shelling_facets(cert.deletion)
+    link_facets = _shelling_facets(cert.link)
     return deletion_facets + [f | {cert.shedding} for f in link_facets]
 
 
@@ -380,8 +339,7 @@ def linear_order_from_certificate(
     ideal = cover_ideal(graph)
     if ideal.is_whole_ring:
         return []
-    engine = DecompositionEngine(graph)
-    facets = _shelling_facets(engine, graph.full_mask(), cert)
+    facets = _shelling_facets(cert)
     everything = set(graph.vertex_names)
     order = [Monomial.of({v: 1 for v in everything - facet}) for facet in facets]
     if len(order) != len(ideal.generators) or set(order) != set(ideal.generators):

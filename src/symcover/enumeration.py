@@ -22,13 +22,6 @@ def _pair_index(n: int) -> dict[tuple[int, int], int]:
     return {pair: i for i, pair in enumerate(combinations(range(n), 2))}
 
 
-def _edge_mask(edges: EdgeSet, pair_index: dict[tuple[int, int], int]) -> int:
-    mask = 0
-    for e in edges:
-        mask |= 1 << pair_index[e]
-    return mask
-
-
 def _refined_classes(n: int, edges: EdgeSet, colors: Sequence[int] | None) -> list[list[int]]:
     """Partition vertices by an isomorphism-invariant signature."""
     nbrs: list[set[int]] = [set() for _ in range(n)]

@@ -212,11 +212,6 @@ class Graph:
             self.vertex(name)
         return self.induced_subgraph(n for n in self.vertex_names if n not in drop)
 
-    def connected_components(self) -> list[tuple[str, ...]]:
-        adj = self.adjacency_masks()
-        full = self.full_mask()
-        return [self.names_of(comp) for comp in _bitgraph.components(adj, full)]
-
     # -- independence and covers ---------------------------------------------
 
     def is_independent_set(self, names: Iterable[str]) -> bool:
@@ -551,15 +546,14 @@ def graph_to_json_dict(graph: Graph, whiskered: WhiskeredGraph | None = None) ->
 
 def graph_from_json_dict(doc: Mapping) -> Graph:
     try:
-        vertices = list(doc["vertices"])
+        vertices = [str(v) for v in doc["vertices"]]
         edges = [(str(u), str(v)) for u, v in doc["edges"]]
+        leaf_support = {str(w["leaf"]): str(w["support"]) for w in doc.get("whiskers") or []}
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed graph document: {exc}") from exc
-    graph = build_graph([str(v) for v in vertices], edges)
-    whiskers = doc.get("whiskers") or []
-    if whiskers:
+    graph = build_graph(vertices, edges)
+    if leaf_support:
         rebuilt: list[Vertex | str] = []
-        leaf_support = {str(w["leaf"]): str(w["support"]) for w in whiskers}
         seen: dict[str, int] = {}
         for v in graph.vertices:
             if v.name in leaf_support:
@@ -578,7 +572,11 @@ def load_graph(path: str) -> Graph:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return graph_from_json_dict(json.loads(text))
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise GraphError(f"malformed JSON graph: {exc}") from exc
+        return graph_from_json_dict(doc)
     return parse_graph_text(text)
 
 

@@ -81,6 +81,12 @@ class ScenarioReport:
         self.steps.append(step)
         return step
 
+    def check(self, name: str, observed: str, asserting: bool) -> ScenarioStep:
+        """Expect ``"yes"`` while the hypotheses hold, else only observe."""
+        if asserting:
+            return self.expect(name, observed, "yes")
+        return self.observe(name, observed)
+
     def flag(self, message: str) -> None:
         self.flags.append(message)
 
@@ -159,22 +165,15 @@ def verify_main_theorem(
             "k_max": str(k_max),
         },
     )
-    is_cover = graph.is_cycle_cover(cover)
-    asserting = is_cover
-    if is_cover:
-        report.expect("cycle-cover", _yesno(True), "yes")
-    else:
-        report.observe("cycle-cover", _yesno(False))
+    asserting = graph.is_cycle_cover(cover)
+    report.check("cycle-cover", _yesno(asserting), asserting)
+    if not asserting:
         report.flag("hypothesis violated: S is not a cycle cover; exploring anyway")
 
     h = whiskered.graph
     for k in range(1, k_max + 1):
         verdict = vertex_decomposable(duplicate_vertices(h, k))
-        name = f"vertex-decomposable k={k}"
-        if asserting:
-            report.expect(name, _yesno(verdict), "yes")
-        else:
-            report.observe(name, _yesno(verdict))
+        report.check(f"vertex-decomposable k={k}", _yesno(verdict), asserting)
         if k <= lq_k_max:
             ideal = symbolic_power(h, k)
             name = f"linear-quotients k={k}"
@@ -186,10 +185,7 @@ def verify_main_theorem(
                 )
             else:
                 order = has_linear_quotients(ideal)
-                if asserting:
-                    report.expect(name, _yesno(order is not None), "yes")
-                else:
-                    report.observe(name, _yesno(order is not None))
+                report.check(name, _yesno(order is not None), asserting)
     report.duration = time.perf_counter() - started
     return report
 
@@ -227,24 +223,15 @@ def verify_edge_theorem(
     is_cover = graph.is_cycle_cover(cover)
     dominant = satisfies_whisker_dominance(whiskered, t)
     asserting = is_cover and dominant
-    if is_cover:
-        report.expect("cycle-cover", "yes", "yes")
-    else:
-        report.observe("cycle-cover", "no")
+    report.check("cycle-cover", _yesno(is_cover), is_cover)
+    if not is_cover:
         report.flag("hypothesis violated: S is not a cycle cover; exploring anyway")
-    if dominant and asserting:
-        report.expect("whisker-dominance", "yes", "yes")
-    elif dominant:
-        report.observe("whisker-dominance", "yes")
-    else:
-        report.observe("whisker-dominance", "no")
+    report.check("whisker-dominance", _yesno(dominant), asserting)
+    if not dominant:
         report.flag("hypothesis violated: tuple is not whisker-dominant; exploring anyway")
 
     verdict = vertex_decomposable(duplicate_edges(whiskered.graph, t))
-    if asserting:
-        report.expect("vertex-decomposable", _yesno(verdict), "yes")
-    else:
-        report.observe("vertex-decomposable", _yesno(verdict))
+    report.check("vertex-decomposable", _yesno(verdict), asserting)
     report.duration = time.perf_counter() - started
     return report
 
@@ -275,13 +262,10 @@ def verify_glue_star(
             "k_max": str(k_max),
         },
     )
-    asserting = True
-    if graph.is_cycle_cover(cover):
-        report.expect("cycle-cover", "yes", "yes")
-    else:
-        report.observe("cycle-cover", "no")
+    asserting = graph.is_cycle_cover(cover)
+    report.check("cycle-cover", _yesno(asserting), asserting)
+    if not asserting:
         report.flag("hypothesis violated: S is not a cycle cover; exploring anyway")
-        asserting = False
 
     attached_at = {s.attach_at for s in specs}
     for s in specs:
@@ -302,11 +286,7 @@ def verify_glue_star(
 
     for k in range(1, k_max + 1):
         verdict = vertex_decomposable(duplicate_vertices(current, k))
-        name = f"vertex-decomposable k={k}"
-        if asserting:
-            report.expect(name, _yesno(verdict), "yes")
-        else:
-            report.observe(name, _yesno(verdict))
+        report.check(f"vertex-decomposable k={k}", _yesno(verdict), asserting)
     report.duration = time.perf_counter() - started
     return report
 
@@ -385,14 +365,11 @@ def verify_glue_theorem(
     shadows = shadows_of(glued_dup, support)[:shared]
     trace = check_shedding_sequence(glued_dup, shadows)
     verdict = vertex_decomposable(glued_dup)
-    if asserting and factor_ok:
-        report.expect("glued-shedding-sequence", _yesno(trace.verdict), "yes")
-        report.expect("glued-vertex-decomposable", _yesno(verdict), "yes")
-    else:
-        report.observe("glued-shedding-sequence", _yesno(trace.verdict))
-        report.observe("glued-vertex-decomposable", _yesno(verdict))
-        if not factor_ok:
-            report.flag("a factor failed its shedding sequence; glued check is exploration")
+    asserting = asserting and factor_ok
+    report.check("glued-shedding-sequence", _yesno(trace.verdict), asserting)
+    report.check("glued-vertex-decomposable", _yesno(verdict), asserting)
+    if not factor_ok:
+        report.flag("a factor failed its shedding sequence; glued check is exploration")
     report.duration = time.perf_counter() - started
     return report
 

@@ -108,6 +108,44 @@ def brute_is_shedding(graph: Graph, x: str) -> bool:
     return True
 
 
+def independent_sets(adj: list[int], mask: int):
+    """Yield every independent set (including the empty one) within ``mask``."""
+
+    def expand(chosen: int, todo: int):
+        if todo == 0:
+            yield chosen
+            return
+        low = todo & -todo
+        v = low.bit_length() - 1
+        yield from expand(chosen, todo & ~low)
+        if not (adj[v] & chosen):
+            yield from expand(chosen | low, todo & ~low & ~adj[v])
+
+    # the second recursion already prunes neighbors, so sets are generated once
+    yield from expand(0, mask)
+
+
+def is_shedding_vertex_by_definition(graph: Graph, x: str) -> bool:
+    """Literal test on bitmasks: no independent set of G - N[x] is maximal in G - x.
+
+    Unlike :func:`brute_is_shedding` it enumerates only the independent sets
+    of G - N[x], which keeps it fast enough for the 7-vertex atlas.
+    """
+    adj = graph.adjacency_masks()
+    i = graph.index_of(x)
+    deleted = graph.full_mask() & ~(1 << i)
+    beyond = deleted & ~adj[i]
+    for candidate in independent_sets(adj, beyond):
+        extendable = any(
+            deleted >> w & 1 and not candidate >> w & 1 and not adj[w] & candidate
+            for w in range(len(adj))
+        )
+        if not extendable:
+            # the candidate is a maximal independent set of G - x
+            return False
+    return True
+
+
 def brute_vertex_decomposable(graph: Graph) -> bool:
     """Definition-shaped recursion without memoization or reductions."""
     if graph.edge_count == 0:

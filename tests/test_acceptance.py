@@ -22,7 +22,6 @@ import pytest
 from symcover.cli import main as cli_main
 from symcover.decomposability import (
     is_shedding_vertex,
-    is_shedding_vertex_by_definition,
     is_vertex_decomposable,
     linear_order_from_certificate,
     vertex_decomposable,
@@ -40,6 +39,7 @@ from symcover.ideals import (
 )
 
 from conftest import FIXTURES, c4, cycle, fish, five_vertex_example, whiskered_fish
+from oracles import is_shedding_vertex_by_definition
 
 
 def report(number: int, name: str, ok: bool) -> None:

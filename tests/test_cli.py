@@ -103,6 +103,20 @@ def test_usage_errors_exit_2(capsys, c4_path, tmp_path):
     assert run(capsys, "verify", "glue", "--graph", c4_path, "--S", "x1")[0] == 2
     assert run(capsys, "verify", "edge", "--graph", c4_path, "--S", "x1",
                "--tuple", "1,1")[0] == 2
+    no_support = tmp_path / "no_support.graph"
+    no_support.write_text('{"vertices": ["a", "b"], "edges": [["a", "b"]], '
+                          '"whiskers": [{"leaf": "b"}]}')
+    truncated = tmp_path / "truncated.graph"
+    truncated.write_text('{"vertices": ["a", "b"], "edges": [["a"')
+    for argv in (
+        ("verify", "main", "--graph", c4_path, "--S", "x1", "--counts", "x1=x"),
+        ("verify", "star", "--graph", c4_path, "--S", "x1", "--spec", "x1:x"),
+        ("check-vd", str(no_support)),
+        ("check-vd", str(truncated)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
     with pytest.raises(SystemExit) as exc:
         run(capsys, "no-such-command")
     assert exc.value.code == 2

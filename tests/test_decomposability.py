@@ -10,7 +10,6 @@ from symcover.decomposability import (
     DecompositionEngine,
     check_shedding_sequence,
     is_shedding_vertex,
-    is_shedding_vertex_by_definition,
     is_vertex_decomposable,
     linear_order_from_certificate,
     render_certificate,
@@ -22,7 +21,7 @@ from symcover.graphs import GraphError, Graph, add_whiskers, build_graph
 from symcover.ideals import cover_ideal, has_linear_quotients, is_linear_quotients_order
 
 from conftest import c4, fish, p3, single_edge, whiskered_fish
-from oracles import brute_is_shedding, brute_vertex_decomposable
+from oracles import brute_is_shedding, brute_vertex_decomposable, is_shedding_vertex_by_definition
 
 
 def random_graph(rng, n, p=0.5, prefix="x"):
@@ -150,6 +149,25 @@ def test_tampered_certificate_rejected():
     wrong = CertificateNode("x1", cert.deletion, cert.link)
     assert not validate_certificate(p3(), wrong)
     assert not validate_certificate(c4(), cert)
+    swapped = CertificateNode(cert.shedding, cert.link, cert.deletion)
+    assert not validate_certificate(p3(), swapped)
+    foreign = CertificateNode("zz", CertificateLeaf(()), CertificateLeaf(()))
+    assert not validate_certificate(p3(), CertificateNode("x2", cert.deletion, foreign))
+    assert not validate_certificate(p3(), CertificateNode("zz", cert, CertificateLeaf(())))
+    # C4 whiskered at x1: x1 sheds at the root, but in the path x2-x3-x4
+    # left by deleting it (x5 isolated) the end x2 does not shed
+    w = add_whiskers(c4(), ["x1"]).graph
+    deep = CertificateNode(
+        "x1",
+        CertificateNode(
+            "x2",
+            CertificateNode("x3", CertificateLeaf(("x4", "x5")), CertificateLeaf(("x5",))),
+            CertificateLeaf(("x4", "x5")),
+        ),
+        CertificateLeaf(("x3",)),
+    )
+    assert not validate_certificate(w, deep)
+    assert validate_certificate(w, is_vertex_decomposable(w))
 
 
 def test_decomposable_cover_ideals_have_linear_quotients():
