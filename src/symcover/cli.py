@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .decomposability import is_vertex_decomposable, render_certificate
 from .duplication import DuplicationTuple
-from .graphs import GraphError, StarCompleteSpec, load_graph
+from .graphs import GraphError, StarCompleteSpec, add_whiskers, load_graph
 from .ideals import (
     IdealError,
     has_linear_quotients,
@@ -179,9 +179,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     if args.theorem == "main":
         report = verify_main_theorem(graph, names, counts, k_max=args.k)
     elif args.theorem == "edge":
-        whiskered_edges = graph.edge_count + sum(
-            counts.values() if isinstance(counts, dict) else [counts] * len(names)
-        )
+        whiskered_edges = add_whiskers(graph, names, counts).graph.edge_count
         report = verify_edge_theorem(graph, names, counts,
                                      tuple_for(args.tuple_, whiskered_edges))
     elif args.theorem == "star":

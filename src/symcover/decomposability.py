@@ -65,30 +65,29 @@ def render_certificate(cert: DecompositionCertificate, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
-def certificate_vertices(cert: DecompositionCertificate) -> frozenset[str]:
-    if isinstance(cert, CertificateLeaf):
-        return frozenset(cert.vertices)
-    deleted = certificate_vertices(cert.deletion)
-    return deleted | {cert.shedding}
-
-
 def validate_certificate(graph: Graph, cert: DecompositionCertificate) -> bool:
     """Walk a certificate and re-check every claim it makes.
 
-    Each node is checked on its vertex mask: the node must cover exactly
-    the vertices of that induced subgraph, a leaf must be edgeless, and a
-    shedding vertex must shed there.
+    Each node is checked on its vertex mask: a shedding vertex must be a
+    vertex of that induced subgraph and shed there, and a leaf must cover
+    exactly the vertices of its mask and be edgeless.  Every shed vertex
+    leaves the mask of its deletion branch, so the leaf checks pin the
+    vertex set of every node above them.
     """
     engine = DecompositionEngine(graph)
 
     def holds(mask: int, node: DecompositionCertificate) -> bool:
-        if certificate_vertices(node) != frozenset(graph.names_of(mask)):
-            return False
         if isinstance(node, CertificateLeaf):
-            return not _bitgraph.has_edge_within(engine._adj, mask)
+            return (
+                frozenset(node.vertices) == frozenset(graph.names_of(mask))
+                and not _bitgraph.has_edge_within(engine._adj, mask)
+            )
+        if not graph.has_vertex(node.shedding):
+            return False
         v = graph.index_of(node.shedding)
         return (
-            engine.sheds(mask, v)
+            bool(mask >> v & 1)
+            and engine.sheds(mask, v)
             and holds(mask & ~(1 << v), node.deletion)
             and holds(mask & ~engine._closed(v), node.link)
         )
@@ -241,12 +240,11 @@ def vertex_decomposable(graph: Graph) -> bool:
 @dataclass(frozen=True)
 class SequenceStep:
     """One step of a shedding sequence: the vertex, whether it sheds in the
-    graph it was applied to, and whether its deletion and link are vertex
-    decomposable."""
+    graph it was applied to, and whether its link (the closed-neighborhood
+    removal) is vertex decomposable."""
 
     vertex: str
     sheds: bool
-    after_deletion_vd: bool
     after_link_vd: bool
 
 
@@ -265,7 +263,9 @@ def check_shedding_sequence(graph: Graph, vertices: Sequence[str]) -> SheddingSe
     Conditions: each z_i sheds in the graph left after deleting
     z_1..z_{i-1}; each closed-neighborhood removal at z_i leaves a vertex
     decomposable graph; and the final deletion-only graph is vertex
-    decomposable.  A true verdict certifies the input graph vertex
+    decomposable.  A step records the first two conditions; the deletions
+    in between need no check of their own, because the final graph and the
+    links decide them.  A true verdict certifies the input graph vertex
     decomposable.
     """
     seen: set[str] = set()
@@ -280,20 +280,14 @@ def check_shedding_sequence(graph: Graph, vertices: Sequence[str]) -> SheddingSe
     steps: list[SequenceStep] = []
     for name in vertices:
         v = graph.index_of(name)
-        if not (current >> v & 1):
-            raise GraphError(f"vertex {name!r} was already removed by an earlier step")
-        sheds = engine.sheds(current, v)
-        deletion = current & ~(1 << v)
-        link = current & ~engine._closed(v)
         steps.append(
             SequenceStep(
                 vertex=name,
-                sheds=sheds,
-                after_deletion_vd=engine.is_vd_mask(deletion),
-                after_link_vd=engine.is_vd_mask(link),
+                sheds=engine.sheds(current, v),
+                after_link_vd=engine.is_vd_mask(current & ~engine._closed(v)),
             )
         )
-        current = deletion
+        current &= ~(1 << v)
 
     final_vd = engine.is_vd_mask(current)
     verdict = final_vd and all(s.sheds and s.after_link_vd for s in steps)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph, GraphError, WhiskeredGraph, Vertex, shadow_vertex
+from .graphs import Graph, GraphError, WhiskeredGraph, shadow_vertex
 
 
 @dataclass(frozen=True)
@@ -56,24 +56,19 @@ def coerce_tuple(t: DuplicationTuple | Sequence[int]) -> DuplicationTuple:
     return t if isinstance(t, DuplicationTuple) else DuplicationTuple(tuple(t))
 
 
-def expand_edge(edge: tuple[str, str], r: int) -> tuple[tuple[Vertex, ...], tuple[tuple[str, str], ...]]:
-    """Shadows of one edge at multiplicity ``r``.
+def expand_edge(edge: tuple[str, str], r: int) -> tuple[tuple[str, str], ...]:
+    """Shadow edges {x.p, y.q}, p + q <= r + 1, of one edge at multiplicity ``r``.
 
-    Returns the shadow vertices x.1..x.r, y.1..y.r and the shadow edges
-    {x.p, y.q} for p + q <= r + 1; both empty when r = 0.
+    Empty when r = 0.  This is the one shadow-edge rule of both duplications.
     """
     if r < 0:
         raise GraphError(f"edge multiplicity must be >= 0, got {r}")
     u, v = edge
-    verts = tuple(shadow_vertex(u, p) for p in range(1, r + 1)) + tuple(
-        shadow_vertex(v, p) for p in range(1, r + 1)
-    )
-    edges = tuple(
+    return tuple(
         (f"{u}.{p}", f"{v}.{q}")
         for p in range(1, r + 1)
         for q in range(1, r + 2 - p)
     )
-    return verts, edges
 
 
 def duplicate_edges(graph: Graph, t: DuplicationTuple | Sequence[int]) -> Graph:
@@ -91,8 +86,7 @@ def duplicate_edges(graph: Graph, t: DuplicationTuple | Sequence[int]) -> Graph:
     copies: dict[str, int] = {}
     all_edges: list[tuple[str, str]] = []
     for edge, r in zip(graph.edges, t):
-        _, shadow_edges = expand_edge(edge, r)
-        all_edges.extend(shadow_edges)
+        all_edges.extend(expand_edge(edge, r))
         for end in edge:
             copies[end] = max(copies.get(end, 0), r)
     verts = [
@@ -113,9 +107,7 @@ def duplicate_vertices(graph: Graph, k: int) -> Graph:
     if k < 1:
         raise GraphError(f"vertex duplication multiplicity must be >= 1, got {k}")
     verts = [shadow_vertex(v.name, p) for v in graph.vertices for p in range(1, k + 1)]
-    edges: list[tuple[str, str]] = []
-    for edge in graph.edges:
-        edges.extend(expand_edge(edge, k)[1])
+    edges = [shadow for edge in graph.edges for shadow in expand_edge(edge, k)]
     return Graph(verts, edges)
 
 

@@ -1,11 +1,12 @@
 """Exhaustive enumeration of small graphs up to isomorphism.
 
 Graphs on n vertices are represented as frozensets of index pairs (i, j)
-with i < j.  Canonical forms are computed by brute force: vertices are
-partitioned by an iterated neighborhood invariant and the edge bitmask is
-maximized over all permutations that respect the partition.  That is
-exponential in the worst case but entirely adequate below ~8 vertices,
-which is all this package ever enumerates.
+with i < j; the invariants and the connectivity test read bitmask adjacency
+rows built once from those pairs.  Canonical forms are computed by brute
+force: vertices are partitioned by an iterated neighborhood invariant and
+the edge bitmask is maximized over all permutations that respect the
+partition.  That is exponential in the worst case but entirely adequate
+below ~8 vertices, which is all this package ever enumerates.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from typing import Iterator, Sequence
 
+from ._bitgraph import bits, components
 from .graphs import Graph, build_graph
 
 EdgeSet = frozenset[tuple[int, int]]
@@ -22,18 +24,24 @@ def _pair_index(n: int) -> dict[tuple[int, int], int]:
     return {pair: i for i, pair in enumerate(combinations(range(n), 2))}
 
 
-def _refined_classes(n: int, edges: EdgeSet, colors: Sequence[int] | None) -> list[list[int]]:
-    """Partition vertices by an isomorphism-invariant signature."""
-    nbrs: list[set[int]] = [set() for _ in range(n)]
+def _rows(n: int, edges: EdgeSet) -> list[int]:
+    """Adjacency rows of an indexed edge set, as bitmasks."""
+    rows = [0] * n
     for i, j in edges:
-        nbrs[i].add(j)
-        nbrs[j].add(i)
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return rows
+
+
+def _refined_classes(rows: Sequence[int], colors: Sequence[int] | None) -> list[list[int]]:
+    """Partition vertices by an isomorphism-invariant signature."""
+    n = len(rows)
     sig: list[tuple] = [
-        (colors[v] if colors else 0, len(nbrs[v])) for v in range(n)
+        (colors[v] if colors else 0, rows[v].bit_count()) for v in range(n)
     ]
     for _ in range(2):
         sig = [
-            (*sig[v], tuple(sorted(sig[w] for w in nbrs[v])))
+            (*sig[v], tuple(sorted(sig[w] for w in bits(rows[v]))))
             for v in range(n)
         ]
     classes: dict[tuple, list[int]] = {}
@@ -70,7 +78,7 @@ def _class_respecting_permutations(classes: list[list[int]]) -> Iterator[tuple[i
 def canonical_form(n: int, edges: EdgeSet, colors: Sequence[int] | None = None) -> tuple:
     """A label-independent key for (graph, optional vertex coloring)."""
     pair_index = _pair_index(n)
-    classes = _refined_classes(n, edges, colors)
+    classes = _refined_classes(_rows(n, edges), colors)
     best_mask = -1
     best_colors: tuple[int, ...] | None = None
     for perm in _class_respecting_permutations(classes):
@@ -136,21 +144,7 @@ def graphs_up_to_isomorphism(n: int) -> list[EdgeSet]:
 
 
 def _is_connected(n: int, edges: EdgeSet) -> bool:
-    if n <= 1:
-        return True
-    nbrs: list[set[int]] = [set() for _ in range(n)]
-    for i, j in edges:
-        nbrs[i].add(j)
-        nbrs[j].add(i)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        for w in nbrs[v]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen) == n
+    return n <= 1 or len(components(_rows(n, edges), (1 << n) - 1)) == 1
 
 
 def connected_graphs_up_to_isomorphism(n: int) -> list[EdgeSet]:

@@ -10,6 +10,11 @@ relies on:
   vertices produced by duplication (base name + copy index), and ``whisker``
   vertices attached as pendants.
 
+Adjacency is held once, in ``Graph._rows``: one bitmask row per vertex over
+the vertex order, built in ``Graph.__init__``.  Every graph query reads those
+rows, and ``adjacency_masks`` hands a copy to the decomposability engine;
+names appear only at the boundary.
+
 All values are immutable after construction and all operations are pure.
 """
 
@@ -76,42 +81,36 @@ def shadow_vertex(base: str, copy: int) -> Vertex:
 class Graph:
     """Finite simple undirected graph over named, ordered vertices."""
 
-    __slots__ = ("_vertices", "_by_name", "_edges", "_edge_set", "_adj", "_index")
+    __slots__ = ("_vertices", "_index", "_edges", "_rows")
 
     def __init__(self, vertices: Sequence[Vertex | str], edges: Sequence[tuple[str, str]] = ()):
-        verts: list[Vertex] = []
-        by_name: dict[str, Vertex] = {}
-        for v in vertices:
-            vert = Vertex(v) if isinstance(v, str) else v
-            if vert.name in by_name:
+        verts = tuple(Vertex(v) if isinstance(v, str) else v for v in vertices)
+        index: dict[str, int] = {}
+        for i, vert in enumerate(verts):
+            if vert.name in index:
                 raise GraphError(f"duplicate vertex name {vert.name!r}")
-            by_name[vert.name] = vert
-            verts.append(vert)
+            index[vert.name] = i
 
         edge_list: list[tuple[str, str]] = []
-        edge_set: set[frozenset[str]] = set()
-        adj: dict[str, set[str]] = {v.name: set() for v in verts}
+        rows = [0] * len(verts)
         for u, w in edges:
-            if u not in by_name:
+            if u not in index:
                 raise GraphError(f"edge endpoint {u!r} is not a vertex")
-            if w not in by_name:
+            if w not in index:
                 raise GraphError(f"edge endpoint {w!r} is not a vertex")
             if u == w:
                 raise GraphError(f"loop at {u!r} is not allowed")
-            key = frozenset((u, w))
-            if key in edge_set:
+            i, j = index[u], index[w]
+            if rows[i] >> j & 1:
                 raise GraphError(f"duplicate edge {{{u}, {w}}}")
-            edge_set.add(key)
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
             edge_list.append((u, w))
-            adj[u].add(w)
-            adj[w].add(u)
 
-        self._vertices = tuple(verts)
-        self._by_name = by_name
+        self._vertices = verts
+        self._index = index
         self._edges = tuple(edge_list)
-        self._edge_set = frozenset(edge_set)
-        self._adj = {name: frozenset(nbrs) for name, nbrs in adj.items()}
-        self._index = {v.name: i for i, v in enumerate(verts)}
+        self._rows = tuple(rows)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -136,38 +135,38 @@ class Graph:
         return len(self._edges)
 
     def has_vertex(self, name: str) -> bool:
-        return name in self._by_name
+        return name in self._index
 
     def vertex(self, name: str) -> Vertex:
+        return self._vertices[self.index_of(name)]
+
+    def index_of(self, name: str) -> int:
         try:
-            return self._by_name[name]
+            return self._index[name]
         except KeyError:
             raise GraphError(f"unknown vertex {name!r}") from None
 
-    def index_of(self, name: str) -> int:
-        self.vertex(name)
-        return self._index[name]
-
     def has_edge(self, u: str, v: str) -> bool:
-        return frozenset((u, v)) in self._edge_set
+        i = self._index.get(u)
+        j = self._index.get(v)
+        return i is not None and j is not None and bool(self._rows[i] >> j & 1)
 
     def neighbors(self, name: str) -> frozenset[str]:
-        self.vertex(name)
-        return self._adj[name]
+        return frozenset(self.names_of(self._rows[self.index_of(name)]))
 
     def closed_neighborhood(self, name: str) -> frozenset[str]:
         return self.neighbors(name) | {name}
 
     def degree(self, name: str) -> int:
-        return len(self.neighbors(name))
+        return self._rows[self.index_of(name)].bit_count()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._vertices == other._vertices and self._edge_set == other._edge_set
+        return self._vertices == other._vertices and self._rows == other._rows
 
     def __hash__(self) -> int:
-        return hash((self._vertices, self._edge_set))
+        return hash((self._vertices, self._rows))
 
     def __repr__(self) -> str:
         return f"Graph({self.vertex_count} vertices, {self.edge_count} edges)"
@@ -176,12 +175,7 @@ class Graph:
 
     def adjacency_masks(self) -> list[int]:
         """Adjacency rows as bitsets over the vertex order."""
-        idx = self._index
-        rows = [0] * len(self._vertices)
-        for u, w in self._edges:
-            rows[idx[u]] |= 1 << idx[w]
-            rows[idx[w]] |= 1 << idx[u]
-        return rows
+        return list(self._rows)
 
     def full_mask(self) -> int:
         return (1 << len(self._vertices)) - 1
@@ -216,45 +210,39 @@ class Graph:
 
     def is_independent_set(self, names: Iterable[str]) -> bool:
         """True iff no edge of the graph joins two of the given vertices."""
-        chosen = set(names)
-        for name in chosen:
-            self.vertex(name)
-        return not any(u in chosen and w in chosen for u, w in self._edges)
+        return not _bitgraph.has_edge_within(self._rows, self.mask_of(names))
+
+    def _canonical_sets(self, masks: Iterable[int]) -> list[frozenset[str]]:
+        """Vertex sets ordered by size, then lexicographically by indices."""
+        ordered = sorted(masks, key=lambda m: (m.bit_count(), tuple(_bitgraph.bits(m))))
+        return [frozenset(self.names_of(m)) for m in ordered]
 
     def maximal_independent_sets(self) -> list[frozenset[str]]:
         """All inclusion-maximal independent sets, canonically ordered.
 
         Order: by size, then lexicographically by vertex indices.
         """
-        adj = self.adjacency_masks()
-        found = list(_bitgraph.maximal_independent_sets(adj, self.full_mask()))
-        keyed = sorted(
-            (mask.bit_count(), tuple(_bitgraph.bits(mask)), mask) for mask in found
+        return self._canonical_sets(
+            _bitgraph.maximal_independent_sets(self._rows, self.full_mask())
         )
-        return [frozenset(self.names_of(mask)) for _, _, mask in keyed]
 
     def minimal_vertex_covers(self) -> list[frozenset[str]]:
         """Complements of the maximal independent sets, canonically ordered."""
-        everything = set(self.vertex_names)
-        covers = [frozenset(everything - mis) for mis in self.maximal_independent_sets()]
-        index = self._index
-        return sorted(covers, key=lambda c: (len(c), sorted(index[n] for n in c)))
+        full = self.full_mask()
+        return self._canonical_sets(
+            full & ~mask for mask in _bitgraph.maximal_independent_sets(self._rows, full)
+        )
 
     def is_simplicial_vertex(self, name: str) -> bool:
         """True iff the closed neighborhood of the vertex induces a clique."""
-        nbrs = sorted(self.neighbors(name))
-        return all(self.has_edge(a, b) for a, b in combinations(nbrs, 2))
+        nbrs = self._rows[self.index_of(name)]
+        return all(nbrs & ~self._rows[j] == 1 << j for j in _bitgraph.bits(nbrs))
 
     # -- cycles ---------------------------------------------------------------
 
     def is_cycle_cover(self, names: Iterable[str]) -> bool:
         """True iff removing the given vertices leaves an acyclic graph."""
-        drop = set(names)
-        for name in drop:
-            self.vertex(name)
-        adj = self.adjacency_masks()
-        mask = self.full_mask() & ~self.mask_of(drop)
-        return _bitgraph.is_forest(adj, mask)
+        return _bitgraph.is_forest(self._rows, self.full_mask() & ~self.mask_of(names))
 
     def minimum_cycle_cover(self) -> frozenset[str]:
         """A smallest vertex set meeting every cycle, exact by increasing size.
@@ -262,7 +250,6 @@ class Graph:
         Ties are broken by canonical vertex order, so the result is
         deterministic.  Search is exhaustive; intended for small graphs.
         """
-        adj = self.adjacency_masks()
         full = self.full_mask()
         names = self.vertex_names
         for size in range(len(names) + 1):
@@ -270,7 +257,7 @@ class Graph:
                 mask = 0
                 for i in combo:
                     mask |= 1 << i
-                if _bitgraph.is_forest(adj, full & ~mask):
+                if _bitgraph.is_forest(self._rows, full & ~mask):
                     return frozenset(names[i] for i in combo)
         raise AssertionError("the full vertex set is always a cycle cover")
 
@@ -552,6 +539,12 @@ def graph_from_json_dict(doc: Mapping) -> Graph:
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed graph document: {exc}") from exc
     graph = build_graph(vertices, edges)
+    for leaf, support in leaf_support.items():
+        for role, name in (("leaf", leaf), ("support", support)):
+            if not graph.has_vertex(name):
+                raise GraphError(f"whisker {role} {name!r} is not a vertex")
+        if not graph.has_edge(leaf, support):
+            raise GraphError(f"whisker leaf {leaf!r} is not adjacent to its support {support!r}")
     if leaf_support:
         rebuilt: list[Vertex | str] = []
         seen: dict[str, int] = {}

@@ -108,11 +108,20 @@ def test_usage_errors_exit_2(capsys, c4_path, tmp_path):
                           '"whiskers": [{"leaf": "b"}]}')
     truncated = tmp_path / "truncated.graph"
     truncated.write_text('{"vertices": ["a", "b"], "edges": [["a"')
+    bad_whiskers = []
+    for i, whisker in enumerate(('{"leaf": "zz", "support": "a"}',
+                                 '{"leaf": "b", "support": "zz"}',
+                                 '{"leaf": "c", "support": "a"}')):
+        path = tmp_path / f"bad_whisker{i}.graph"
+        path.write_text('{"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]], '
+                        f'"whiskers": [{whisker}]}}')
+        bad_whiskers.append(("check-vd", str(path)))
     for argv in (
         ("verify", "main", "--graph", c4_path, "--S", "x1", "--counts", "x1=x"),
         ("verify", "star", "--graph", c4_path, "--S", "x1", "--spec", "x1:x"),
         ("check-vd", str(no_support)),
         ("check-vd", str(truncated)),
+        *bad_whiskers,
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
@@ -128,6 +137,16 @@ def test_verify_edge_accepts_constant_k(capsys, c4_path):
     assert code == 0
     assert "overall: PASS" in out
     assert "step whisker-dominance: observed=yes" in out
+
+
+def test_verify_edge_constant_k_counts_whiskers_once(capsys):
+    # a repeated support or a count for a vertex outside S adds no whisker
+    c4_graph = str(FIXTURES / "c4.graph")
+    for extra in (("--S", "x1,x1"), ("--S", "x1", "--counts", "x1=1,x2=1")):
+        code, out, err = run(capsys, "verify", "edge", "--graph", c4_graph, *extra,
+                             "--k", "1")
+        assert code == 0, (extra, err)
+        assert "t=1,1,1,1,1" in out
 
 
 def test_search_cli_sorted_output(capsys):

@@ -154,6 +154,10 @@ def test_tampered_certificate_rejected():
     foreign = CertificateNode("zz", CertificateLeaf(()), CertificateLeaf(()))
     assert not validate_certificate(p3(), CertificateNode("x2", cert.deletion, foreign))
     assert not validate_certificate(p3(), CertificateNode("zz", cert, CertificateLeaf(())))
+    # x2 shed a second time, after its deletion: it would "shed" vacuously
+    assert cert.shedding == "x2"
+    again = CertificateNode("x2", CertificateLeaf(("x1", "x3")), CertificateLeaf(()))
+    assert not validate_certificate(p3(), CertificateNode("x2", again, cert.link))
     # C4 whiskered at x1: x1 sheds at the root, but in the path x2-x3-x4
     # left by deleting it (x5 isolated) the end x2 does not shed
     w = add_whiskers(c4(), ["x1"]).graph

@@ -32,15 +32,11 @@ def pairs(edges):
 # -- expand_edge ---------------------------------------------------------------
 
 def test_expand_edge_multiplicity_one_is_the_edge():
-    verts, edges = expand_edge(("x1", "x2"), 1)
-    assert [v.name for v in verts] == ["x1.1", "x2.1"]
-    assert edges == (("x1.1", "x2.1"),)
+    assert expand_edge(("x1", "x2"), 1) == (("x1.1", "x2.1"),)
 
 
 def test_expand_edge_multiplicity_two():
-    verts, edges = expand_edge(("x1", "x2"), 2)
-    assert len(verts) == 4
-    assert pairs(edges) == {
+    assert pairs(expand_edge(("x1", "x2"), 2)) == {
         frozenset({"x1.1", "x2.1"}),
         frozenset({"x1.1", "x2.2"}),
         frozenset({"x1.2", "x2.1"}),
@@ -48,8 +44,8 @@ def test_expand_edge_multiplicity_two():
 
 
 def test_expand_edge_multiplicity_three():
-    verts, edges = expand_edge(("x3", "x4"), 3)
-    assert len(verts) == 6 and len(edges) == 6
+    edges = expand_edge(("x3", "x4"), 3)
+    assert len(edges) == 6
     # p + q <= 4 by direct enumeration
     expected = {(p, q) for p in range(1, 4) for q in range(1, 4) if p + q <= 4}
     got = {(int(u.split(".")[1]), int(v.split(".")[1])) for u, v in edges}
@@ -57,10 +53,22 @@ def test_expand_edge_multiplicity_three():
 
 
 def test_expand_edge_zero_is_empty():
-    assert expand_edge(("a", "b"), 0) == ((), ())
+    assert expand_edge(("a", "b"), 0) == ()
 
 
 # -- duplicate_edges -------------------------------------------------------------
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_duplicate_single_edge_shadows(r):
+    g = duplicate_edges(single_edge(), (r,))
+    expected = [(base, p) for base in ("x", "y") for p in range(1, r + 1)]
+    assert g.vertex_names == tuple(f"{base}.{p}" for base, p in expected)
+    assert [(v.kind, v.base, v.copy) for v in g.vertices] == [
+        ("shadow", base, p) for base, p in expected
+    ]
+    assert g.edges == expand_edge(("x", "y"), r)
+    assert g.edge_count == r * (r + 1) // 2
+
 
 def test_duplicate_edges_figure_counts():
     g = duplicate_edges(c4(), DuplicationTuple((1, 2, 3, 2)))

@@ -81,6 +81,37 @@ def test_induced_subgraph_keeps_orders():
 
 # -- independence and covers --------------------------------------------------
 
+def test_row_queries_match_edge_list(small_graph_atlas):
+    # every expected answer is computed from ``graph.edges`` alone
+    for g in small_graph_atlas:
+        names = g.vertex_names
+        keys = {frozenset(e) for e in g.edges}
+        nbrs = {v: frozenset(w for key in keys if v in key for w in key - {v}) for v in names}
+        for u in names:
+            assert g.neighbors(u) == nbrs[u]
+            assert g.degree(u) == len(nbrs[u])
+            assert g.is_simplicial_vertex(u) == all(
+                frozenset((a, b)) in keys for a in nbrs[u] for b in nbrs[u] if a != b
+            )
+            assert not g.has_edge(u, "zz")
+            for w in names:
+                assert g.has_edge(u, w) == (frozenset((u, w)) in keys)
+        assert g.adjacency_masks() == [
+            sum(1 << names.index(w) for w in nbrs[v]) for v in names
+        ]
+        reordered = build_graph(names, [(w, u) for u, w in reversed(g.edges)])
+        assert reordered == g and hash(reordered) == hash(g)
+        # relabel by reversing the vertex order: equal exactly when that
+        # reversal is an automorphism
+        flip = dict(zip(names, reversed(names)))
+        relabelled = build_graph(names, [(flip[u], flip[w]) for u, w in g.edges])
+        automorphic = {frozenset((flip[u], flip[w])) for u, w in g.edges} == keys
+        assert (relabelled == g) == automorphic
+        assert (hash(relabelled) == hash(g)) == automorphic
+        if g.edges:
+            assert build_graph(names, g.edges[:-1]) != g
+
+
 def test_is_independent_set_examples():
     g = c4()
     assert g.is_independent_set({"x1", "x3"})
