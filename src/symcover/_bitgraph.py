@@ -29,9 +29,12 @@ def has_edge_within(adj: Sequence[int], mask: int) -> bool:
 def isolated_stripped(adj: Sequence[int], mask: int) -> int:
     """Submask of ``mask`` keeping only vertices with a neighbor in ``mask``."""
     kept = 0
-    for v in bits(mask):
-        if adj[v] & mask:
-            kept |= 1 << v
+    probe = mask
+    while probe:
+        low = probe & -probe
+        probe ^= low
+        if adj[low.bit_length() - 1] & mask:
+            kept |= low
     return kept
 
 
@@ -45,9 +48,11 @@ def components(adj: Sequence[int], mask: int) -> list[int]:
         frontier = seed
         while frontier:
             grown = 0
-            for v in bits(frontier):
-                grown |= adj[v] & mask
-            frontier = grown & ~comp
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                grown |= adj[low.bit_length() - 1]
+            frontier = grown & mask & ~comp
             comp |= frontier
         out.append(comp)
         remaining &= ~comp

@@ -14,15 +14,22 @@ The engine below answers that question exactly with three sound reductions:
   of a disjoint union is the join, which is vertex decomposable iff both
   factors are).
 
+The shedding test never lists maximal independent sets.  It backtracks over
+the neighbors of x, looking for an independent set of G - N[x] that meets
+the neighborhood of each of them; the search is at most deg x deep.  A
+neighbor w with N[w] inside N[x] leaves it nothing to pick, so x sheds at
+once (Woodroofe's dominated-pair lemma).
+
 Candidate shedding vertices are tried in canonical vertex order, neighbors
-of simplicial vertices first; those are always shedding, which mirrors the
-way whiskered graphs are actually decomposed and finds certificates fast.
+of simplicial vertices first.  Those always shed by the dominated-pair exit:
+a simplicial s adjacent to x has N[s] inside N[x].  This mirrors the way
+whiskered graphs are actually decomposed and finds certificates fast.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import _bitgraph
 from .graphs import Graph, GraphError
@@ -125,43 +132,69 @@ class DecompositionEngine:
         """Shedding test for vertex v inside the induced subgraph ``mask``.
 
         v sheds when no independent set of G - N[v] is maximal in G - v.
-        It suffices to try the maximal independent sets of G - N[v]: v fails
-        to shed exactly when one of them also dominates every neighbor of v
-        (making it maximal in G - v as well).
+        Such a set extends to a maximal one of G - N[v], so v fails to shed
+        exactly when some independent set S of G - N[v] meets N(w) for every
+        neighbor w of v.  The search for S backtracks over the neighbors of
+        v that S does not touch yet, most constrained first; a neighbor's
+        candidates are its neighbors in G - N[v] that are neither in S nor
+        adjacent to S.  Each step covers at least one neighbor of v, so the
+        search is at most deg v deep.  A neighbor w with N[w] inside N[v]
+        has no candidates at all, so v sheds at once: that is Woodroofe's
+        dominated-pair lemma.  An isolated v has no neighbors to cover and
+        never sheds.
         """
         adj = self._adj
-        nbrs = adj[v] & mask
-        beyond = mask & ~self._closed(v)
-        for t in _bitgraph.maximal_independent_sets(adj, beyond):
-            blocked = False
-            for w in _bitgraph.bits(nbrs):
-                if not (adj[w] & t):
-                    blocked = True
-                    break
-            if not blocked:
+        # (vertices S may still take, neighbors of v that S does not touch)
+        stack = [(mask & ~self._closed(v), adj[v] & mask)]
+        while stack:
+            allowed, open_nbrs = stack.pop()
+            if not open_nbrs:
                 return False
+            fewest = None
+            probe = open_nbrs
+            while probe:
+                low = probe & -probe
+                probe ^= low
+                cand = adj[low.bit_length() - 1] & allowed
+                if fewest is None or cand.bit_count() < fewest.bit_count():
+                    fewest = cand
+                    if not cand:
+                        break
+            # branch on each candidate u, excluding the ones already tried:
+            # every S that covers the chosen neighbor holds a first candidate
+            while fewest:
+                low = fewest & -fewest
+                fewest ^= low
+                u = low.bit_length() - 1
+                stack.append((allowed & ~self._closed(u), open_nbrs & ~adj[u]))
+                allowed &= ~low
         return True
 
     # -- decomposability ----------------------------------------------------
 
-    def _candidates(self, mask: int) -> Iterator[int]:
+    def _candidates(self, mask: int) -> list[int]:
+        """Vertices of ``mask`` in the order the recursion tries them:
+        neighbors of simplicial vertices first, then the rest, each part in
+        increasing index order."""
         adj = self._adj
-        simplicial_nbrs = 0
-        for v in _bitgraph.bits(mask):
-            nbrs = adj[v] & mask
-            clique = True
-            probe = nbrs
-            while probe:
-                low = probe & -probe
-                u = low.bit_length() - 1
-                probe ^= low
-                if (nbrs & ~self._closed(u)):
-                    clique = False
+        marked = 0
+        probe = mask
+        while probe:
+            low = probe & -probe
+            probe ^= low
+            nbrs = adj[low.bit_length() - 1] & mask
+            if not nbrs & ~marked:
+                continue  # nothing left to mark, or an isolated vertex
+            # simplicial when N[u] holds all of nbrs for every neighbor u
+            rest = nbrs
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                if nbrs & ~adj[bit.bit_length() - 1] & ~bit:
                     break
-            if clique and nbrs:
-                simplicial_nbrs |= nbrs
-        yield from _bitgraph.bits(simplicial_nbrs)
-        yield from _bitgraph.bits(mask & ~simplicial_nbrs)
+            else:
+                marked |= nbrs
+        return [*_bitgraph.bits(marked), *_bitgraph.bits(mask & ~marked)]
 
     def is_vd_mask(self, mask: int) -> bool:
         """Vertex decomposability of the induced subgraph on ``mask``."""

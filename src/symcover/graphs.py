@@ -338,6 +338,8 @@ class WhiskeredGraph:
             for sup, leaf in wedges:
                 if sup != support or support not in self.support_set:
                     raise GraphError(f"whisker edge ({sup}, {leaf}) not anchored in the support set")
+                if not self.graph.has_edge(sup, leaf):
+                    raise GraphError(f"whisker edge ({sup}, {leaf}) is not an edge of the graph")
                 if self.graph.degree(leaf) != 1:
                     raise GraphError(f"whisker vertex {leaf!r} must have degree 1")
                 if self.graph.vertex(leaf).kind != "whisker":
@@ -361,11 +363,16 @@ def add_whiskers(
     """Attach pendant vertices at each support vertex.
 
     ``counts`` gives the number of whiskers per support vertex (an int means
-    that many at every support; default one each).
+    that many at every support; default one each).  A count for a vertex
+    outside ``supports`` is ignored; one for a name that is not a vertex is
+    an error.
     """
     support_list = sorted(set(supports), key=graph.index_of)
     if isinstance(counts, int):
         counts = {s: counts for s in support_list}
+    for name in counts:
+        if not graph.has_vertex(name):
+            raise GraphError(f"whisker count for unknown vertex {name!r}")
     total = 0
     for s in support_list:
         c = counts.get(s, 0)

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import symcover
 from symcover.cli import main
 from symcover.graphs import save_graph
 
@@ -122,6 +127,8 @@ def test_usage_errors_exit_2(capsys, c4_path, tmp_path):
         ("check-vd", str(no_support)),
         ("check-vd", str(truncated)),
         *bad_whiskers,
+        ("verify", "edge", "--graph", str(FIXTURES / "c4.graph"), "--S", "x1",
+         "--counts", "x1=1,x9=4", "--k", "1"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
@@ -147,6 +154,19 @@ def test_verify_edge_constant_k_counts_whiskers_once(capsys):
                              "--k", "1")
         assert code == 0, (extra, err)
         assert "t=1,1,1,1,1" in out
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(symcover.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    ok = subprocess.run([sys.executable, "-m", "symcover", "check-vd", str(FIXTURES / "p3.graph")],
+                        capture_output=True, text=True, env=env)
+    assert (ok.returncode, ok.stdout) == (0, "vertex decomposable: yes\n")
+    bad = subprocess.run([sys.executable, "-m", "symcover", "check-vd",
+                          str(tmp_path / "missing.graph")],
+                         capture_output=True, text=True, env=env)
+    assert bad.returncode == 2 and bad.stderr.startswith("error: ")
 
 
 def test_search_cli_sorted_output(capsys):

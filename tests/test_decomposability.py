@@ -84,6 +84,45 @@ def test_isolated_vertices_never_shed():
     assert not is_shedding_vertex(g, "c")
 
 
+def test_sheds_on_induced_subgraphs_matches_brute_oracle():
+    rng = random.Random(109)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(1, 9), p=rng.random())
+        engine = DecompositionEngine(g)
+        for mask in (g.full_mask(), *(rng.getrandbits(g.vertex_count) for _ in range(3))):
+            sub = g.induced_subgraph(g.names_of(mask))
+            for name in sub.vertex_names:
+                assert engine.sheds(mask, g.index_of(name)) == brute_is_shedding(sub, name), (
+                    g.edges, sub.vertex_names, name)
+
+
+def test_sheds_edge_cases():
+    # v isolated inside the mask, though not in the whole graph
+    g = build_graph(["v", "a", "b"], [("v", "a"), ("a", "b")])
+    engine = DecompositionEngine(g)
+    assert not engine.sheds(g.mask_of(["v", "b"]), g.index_of("v"))
+    # G - N[v] empty: every neighbor is dominated by v
+    star = build_graph(["v", "a", "b"], [("v", "a"), ("v", "b")])
+    assert is_shedding_vertex(star, "v")
+    # C5: no neighbor of v is dominated, and covering one kills the other
+    # neighbor's only candidate, so v sheds only after a dead-end branch
+    c5 = build_graph(["v", "w1", "w2", "a", "b"],
+                     [("v", "w1"), ("v", "w2"), ("w1", "a"), ("w2", "b"), ("a", "b")])
+    assert is_shedding_vertex(c5, "v") and brute_is_shedding(c5, "v")
+    # w1 has the fewest candidates, {a, b}; the dead one blocks all of w2's
+    # and the other blocks none, so v does not shed: the other and c cover
+    # w1 and w2.  Both labelings are checked so either branch order meets
+    # the dead end
+    for dead in ("a", "b"):
+        h = build_graph(
+            ["v", "w1", "w2", "a", "b", "c", "d", "e"],
+            [("v", "w1"), ("v", "w2"), ("w1", "a"), ("w1", "b"),
+             ("w2", "c"), ("w2", "d"), ("w2", "e"),
+             (dead, "c"), (dead, "d"), (dead, "e")],
+        )
+        assert not is_shedding_vertex(h, "v") and not brute_is_shedding(h, "v")
+
+
 # -- vertex decomposability ----------------------------------------------------------
 
 def test_edgeless_graph_is_a_simplex_leaf():
@@ -101,6 +140,13 @@ def test_whiskered_fish_is_decomposable_at_k1_not_k2():
 
 def test_boundary_duplication_not_decomposable():
     assert not vertex_decomposable(boundary_duplication())
+
+
+def test_long_path_is_decomposable():
+    # the number of maximal independent sets of a path grows exponentially,
+    # so this stays fast only because the shedding test never lists them
+    names = [f"x{i}" for i in range(1, 121)]
+    assert vertex_decomposable(build_graph(names, list(zip(names, names[1:])))) is True
 
 
 def test_verdict_matches_brute_recursion():

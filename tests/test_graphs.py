@@ -6,8 +6,11 @@ import random
 import pytest
 
 from symcover.graphs import (
+    Graph,
     GraphError,
     StarCompleteSpec,
+    Vertex,
+    WhiskeredGraph,
     add_whiskers,
     attach_star_complete,
     build_graph,
@@ -236,6 +239,23 @@ def test_add_whiskers_rejects_bad_input():
         add_whiskers(c4(), ["nope"])
     with pytest.raises(GraphError):
         add_whiskers(c4(), ["x1"], {"x1": 0})
+    with pytest.raises(GraphError, match="x9"):
+        add_whiskers(c4(), ["x1"], {"x1": 1, "x9": 4})
+    # a count for a vertex outside the support set adds nothing
+    assert add_whiskers(c4(), ["x1"], {"x1": 1, "x2": 3}) == add_whiskers(c4(), ["x1"])
+
+
+def test_whiskered_graph_rejects_whisker_edge_that_is_not_an_edge():
+    # c is recorded as a whisker of a, but its only edge is b-c
+    leaf = Vertex(name="c", kind="whisker", support="a", index=1)
+    graph = Graph(["a", "b", leaf], [("a", "b"), ("b", "c")])
+    with pytest.raises(GraphError, match="not an edge"):
+        WhiskeredGraph(
+            graph=graph,
+            base=build_graph(["a", "b"], [("a", "b")]),
+            support_set=frozenset({"a"}),
+            whisker_edges={"a": (("a", "c"),)},
+        )
 
 
 def test_whisker_names_fall_back_when_not_numbered():
