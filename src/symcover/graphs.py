@@ -539,6 +539,12 @@ def graph_to_json_dict(graph: Graph, whiskered: WhiskeredGraph | None = None) ->
 
 
 def graph_from_json_dict(doc: Mapping) -> Graph:
+    # a string would otherwise be read as a list of its characters
+    for key in ("vertices", "edges"):
+        if not isinstance(doc.get(key), list):
+            raise GraphError(f"malformed graph document: {key!r} must be a JSON list")
+    if not all(isinstance(e, list) for e in doc["edges"]):
+        raise GraphError("malformed graph document: each edge must be a JSON list [u, v]")
     try:
         vertices = [str(v) for v in doc["vertices"]]
         edges = [(str(u), str(v)) for u, v in doc["edges"]]

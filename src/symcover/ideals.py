@@ -6,6 +6,23 @@ unique minimal generating set, canonically sorted by (degree, then
 lexicographic preference for earlier ambient variables).  The zero-generator
 "whole ring" marker stands in for the degenerate ideal generated by 1, which
 only arises from edgeless graphs.
+
+Inside an ideal each generator g is also held as a *slot mask*, built once:
+variable v owns a contiguous block of slots 1..d_v, where d_v is its largest
+exponent among the generators the ideal was given, and bit (v, t) is set iff
+g_v >= t.  This is polarization written as an int (x_v^e becomes the slots
+x_v.1 ... x_v.e).  Earlier variables own higher bits, so within one degree a
+larger mask is a lexicographically larger exponent vector, which is the
+canonical order.  Write G, G', C for the masks of g, g', c.  For any
+exponents:
+
+* g divides c iff ``G & ~C == 0``;
+* ``G & ~C`` is the mask of the colon g : c, and its popcount is the degree;
+* g : c is the single variable x_v iff ``G & ~C`` is the one bit (v, c_v + 1);
+* x_v divides g' : c iff bit (v, c_v + 1) is set in ``G' & ~C``.
+
+So the linear-quotients test runs on integers alone: O(m) operations per
+position of an order of m generators, O(m^2) per order.
 """
 
 from __future__ import annotations
@@ -85,10 +102,6 @@ class Monomial:
             out[v] = max(out.get(v, 0), e)
         return Monomial.of(out)
 
-    def colon(self, other: Monomial) -> Monomial:
-        """self : other, i.e. self divided by gcd(self, other)."""
-        return Monomial.of({v: max(0, e - other.exponent(v)) for v, e in self.exps})
-
     def render(self, var_order: Sequence[str] | None = None) -> str:
         if not self.exps:
             return "1"
@@ -129,19 +142,41 @@ def parse_monomial(text: str) -> Monomial:
 # ---------------------------------------------------------------------------
 # ideals
 
-def _minimalize(gens: Iterable[Monomial]) -> list[Monomial]:
-    unique = sorted(set(gens), key=lambda m: m.degree)
-    kept: list[Monomial] = []
-    for m in unique:
-        if not any(k.divides(m) for k in kept):
-            kept.append(m)
+def _slot_masks(variables: Sequence[str], gens: Iterable[Monomial]) -> dict[Monomial, int]:
+    """The slot mask of every generator over one layout (see the module docstring)."""
+    rank = {v: i for i, v in enumerate(variables)}
+    depth = [0] * len(rank)
+    for g in gens:
+        for v, e in g.exps:
+            i = rank.get(v)
+            if i is None:
+                raise IdealError(f"generator uses {v!r} outside the ambient variables")
+            depth[i] = max(depth[i], e)
+    offset = [0] * len(rank)
+    shift = 0
+    for i in reversed(range(len(rank))):
+        offset[i] = shift
+        shift += depth[i]
+    return {g: sum(((1 << e) - 1) << offset[rank[v]] for v, e in g.exps) for g in gens}
+
+
+def _minimalize(masks: Mapping[Monomial, int]) -> dict[Monomial, int]:
+    """The generators no other one divides, in canonical order.
+
+    A divisor has a smaller degree, so scanning in canonical order (degree,
+    then larger mask first) meets it before its multiples.
+    """
+    kept: dict[Monomial, int] = {}
+    for g, mask in sorted(masks.items(), key=lambda item: (item[1].bit_count(), -item[1])):
+        if all(k & ~mask for k in kept.values()):  # no kept generator divides g
+            kept[g] = mask
     return kept
 
 
 class MonomialIdeal:
-    """A monomial ideal held by its minimal generating set."""
+    """A monomial ideal held by its minimal generating set and their slot masks."""
 
-    __slots__ = ("_variables", "_generators", "_whole")
+    __slots__ = ("_variables", "_generators", "_masks", "_whole")
 
     def __init__(self, variables: Sequence[str], generators: Iterable[Monomial] = (),
                  whole_ring: bool = False):
@@ -149,24 +184,15 @@ class MonomialIdeal:
         if len(set(self._variables)) != len(self._variables):
             raise IdealError("ambient variables must be distinct")
         if whole_ring:
-            gens: list[Monomial] = []
             if list(generators):
                 raise IdealError("the whole-ring marker carries no generators")
+            masks: dict[Monomial, int] = {}
         else:
-            gens = _minimalize(generators)
-            for g in gens:
-                if g.degree == 0:
-                    raise IdealError("a unit generator is not allowed; use the whole-ring marker")
-                for v in g.variables:
-                    if v not in set(self._variables):
-                        raise IdealError(f"generator uses {v!r} outside the ambient variables")
-        rank = {v: i for i, v in enumerate(self._variables)}
-
-        def key(m: Monomial) -> tuple:
-            vec = tuple(m.exponent(v) for v in self._variables)
-            return (m.degree, tuple(-e for e in vec))
-
-        self._generators = tuple(sorted(gens, key=key))
+            masks = _minimalize(_slot_masks(self._variables, set(generators)))
+            if 0 in masks.values():
+                raise IdealError("a unit generator is not allowed; use the whole-ring marker")
+        self._masks = masks
+        self._generators = tuple(masks)
         self._whole = whole_ring
 
     @classmethod
@@ -377,21 +403,22 @@ def depolarize(ideal: MonomialIdeal) -> MonomialIdeal:
 # ---------------------------------------------------------------------------
 # linear quotients
 
-def _colon_supports(chosen: Sequence[Monomial], candidate: Monomial) -> bool:
-    """True iff (chosen) : candidate is generated by variables.
+def _linear_colons(chosen: Sequence[int], candidate: int) -> bool:
+    """True iff (chosen) : candidate is generated by variables, on slot masks.
 
-    The colon ideal is generated by g : candidate over g in chosen; it is
-    variable-generated iff every such quotient is divisible by some quotient
-    that is a single variable.
+    The colon is generated by the colons g : candidate, ``G & ~C``.  It is
+    variable-generated iff every such colon holds a bit of ``singles``, the
+    union of the colons that are one bit (single variables).  A zero colon,
+    where the candidate is a multiple of a chosen generator, holds none.
     """
-    colons = [g.colon(candidate) for g in chosen]
-    single_vars = {c.exps[0][0] for c in colons if c.degree == 1}
-    for c in colons:
-        if c.degree == 0:
-            # candidate is a multiple of a chosen generator; cannot happen
-            # for minimal generating sets
-            return False
-        if not any(c.exponent(v) >= 1 for v in single_vars):
+    rest = ~candidate
+    colons = [g & rest for g in chosen]
+    singles = 0
+    for d in colons:
+        if not d & (d - 1):
+            singles |= d
+    for d in colons:
+        if not d & singles:
             return False
     return True
 
@@ -400,12 +427,11 @@ def is_linear_quotients_order(ideal: MonomialIdeal, order: Sequence[Monomial]) -
     """Validate that an ordering of the minimal generators has linear quotients."""
     if ideal.is_whole_ring:
         raise IdealError("the whole-ring marker has no generator ordering")
-    if len(order) != len(ideal.generators) or set(order) != set(ideal.generators):
+    masks = ideal._masks
+    if len(order) != len(masks) or set(order) != masks.keys():
         raise IdealError("order must be a permutation of the minimal generators")
-    for i in range(1, len(order)):
-        if not _colon_supports(order[:i], order[i]):
-            return False
-    return True
+    seq = [masks[g] for g in order]
+    return all(_linear_colons(seq[:i], seq[i]) for i in range(1, len(seq)))
 
 
 def has_linear_quotients(ideal: MonomialIdeal) -> list[Monomial] | None:
@@ -419,6 +445,7 @@ def has_linear_quotients(ideal: MonomialIdeal) -> list[Monomial] | None:
     if ideal.is_whole_ring or not ideal.generators:
         raise IdealError("linear quotients needs at least one generator")
     gens = ideal.generators
+    masks = tuple(ideal._masks.values())
     q = len(gens)
     dead: set[frozenset[int]] = set()
 
@@ -427,11 +454,11 @@ def has_linear_quotients(ideal: MonomialIdeal) -> list[Monomial] | None:
             return prefix
         if chosen in dead:
             return None
-        current = [gens[i] for i in prefix]
+        current = [masks[i] for i in prefix]
         for i in range(q):
             if i in chosen:
                 continue
-            if _colon_supports(current, gens[i]):
+            if _linear_colons(current, masks[i]):
                 found = extend(prefix + [i], chosen | {i})
                 if found is not None:
                     return found

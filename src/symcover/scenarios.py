@@ -137,6 +137,12 @@ def _edge_list(graph: Graph) -> str:
 # ---------------------------------------------------------------------------
 # theorem verifiers
 
+def _require_k(k_max: int) -> None:
+    # with no k to test, a verifier would pass without checking decomposability
+    if k_max < 1:
+        raise GraphError(f"duplication bound k must be >= 1, got {k_max}")
+
+
 def verify_main_theorem(
     graph: Graph,
     cycle_cover: Sequence[str],
@@ -153,6 +159,7 @@ def verify_main_theorem(
     linear quotients (capped at ``lq_generator_cap`` generators).  When
     the given set is not a cycle cover the run downgrades to exploration.
     """
+    _require_k(k_max)
     started = time.perf_counter()
     cover = sorted(set(cycle_cover), key=graph.index_of)
     whiskered = add_whiskers(graph, cover, counts)
@@ -248,6 +255,7 @@ def verify_glue_star(
     is non-pure, every cycle-cover vertex received one, and the attachment
     sites lie inside the cycle cover; anything else is exploration.
     """
+    _require_k(k_max)
     started = time.perf_counter()
     cover = sorted(set(cycle_cover), key=graph.index_of)
     spec_text = ";".join(f"{s.attach_at}:{','.join(map(str, s.clique_sizes))}" for s in specs)

@@ -160,10 +160,19 @@ def brute_vertex_decomposable(graph: Graph) -> bool:
     return False
 
 
+def colon(g: Monomial, c: Monomial) -> Monomial:
+    """g : c, i.e. g divided by gcd(g, c), exponent by exponent."""
+    return Monomial.of({v: max(0, e - c.exponent(v)) for v, e in g.exps})
+
+
 def naive_colon_is_linear(chosen: list[Monomial], candidate: Monomial) -> bool:
-    colons = [g.colon(candidate) for g in chosen]
+    colons = [colon(g, candidate) for g in chosen]
     variables = {c.exps[0][0] for c in colons if c.degree == 1}
     return all(any(c.exponent(v) >= 1 for v in variables) for c in colons)
+
+
+def naive_is_linear_quotients_order(order: list[Monomial]) -> bool:
+    return all(naive_colon_is_linear(order[:i], order[i]) for i in range(1, len(order)))
 
 
 def naive_has_linear_quotients(ideal: MonomialIdeal) -> bool:
@@ -186,5 +195,5 @@ def exhaustive_linear_quotients_orders(ideal: MonomialIdeal):
     """Yield every accepting permutation; only for very small ideals."""
     gens = list(ideal.generators)
     for perm in permutations(gens):
-        if all(naive_colon_is_linear(list(perm[:i]), perm[i]) for i in range(1, len(perm))):
+        if naive_is_linear_quotients_order(list(perm)):
             yield list(perm)

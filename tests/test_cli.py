@@ -121,12 +121,25 @@ def test_usage_errors_exit_2(capsys, c4_path, tmp_path):
         path.write_text('{"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]], '
                         f'"whiskers": [{whisker}]}}')
         bad_whiskers.append(("check-vd", str(path)))
+    # a JSON string where a list belongs would be iterated as characters
+    not_lists = []
+    for i, doc in enumerate(('{"vertices": "ab", "edges": []}',
+                             '{"vertices": ["a", "b"], "edges": "ab"}',
+                             '{"vertices": ["a", "b"], "edges": ["ab"]}',
+                             '{"edges": []}')):
+        path = tmp_path / f"not_list{i}.graph"
+        path.write_text(doc)
+        not_lists.append(("check-vd", str(path)))
     for argv in (
         ("verify", "main", "--graph", c4_path, "--S", "x1", "--counts", "x1=x"),
         ("verify", "star", "--graph", c4_path, "--S", "x1", "--spec", "x1:x"),
         ("check-vd", str(no_support)),
         ("check-vd", str(truncated)),
         *bad_whiskers,
+        *not_lists,
+        ("verify", "main", "--graph", c4_path, "--S", "x1", "--k", "0"),
+        ("verify", "main", "--graph", c4_path, "--k", "-1"),
+        ("verify", "star", "--graph", c4_path, "--S", "x1", "--spec", "x1:2", "--k", "0"),
         ("verify", "edge", "--graph", str(FIXTURES / "c4.graph"), "--S", "x1",
          "--counts", "x1=1,x9=4", "--k", "1"),
     ):

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from symcover.duplication import duplicate_vertices
-from symcover.graphs import build_graph
+from symcover.graphs import add_whiskers, build_graph
 from symcover.ideals import (
     EdgePrime,
     IdealError,
@@ -27,11 +27,15 @@ from symcover.ideals import (
     symbolic_power_by_intersection,
 )
 
-from conftest import c4, p3, single_edge
+from symcover.enumeration import as_graph, connected_graphs_up_to_isomorphism
+
+from conftest import c4, cycle, fish, five_vertex_example, p3, single_edge
 from oracles import (
     brute_symbolic_generators,
+    colon,
     exhaustive_linear_quotients_orders,
     naive_has_linear_quotients,
+    naive_is_linear_quotients_order,
 )
 
 
@@ -57,7 +61,7 @@ def test_monomial_basics():
     assert not a.is_squarefree() and m("x1*x3").is_squarefree()
     assert m("x1").divides(a) and not a.divides(m("x1*x3"))
     assert a.lcm(m("x3^2*x4")) == m("x1^2*x3^2*x4")
-    assert a.colon(m("x1*x4")) == m("x1*x3")
+    assert colon(a, m("x1*x4")) == m("x1*x3")
     assert m("1").degree == 0
 
 
@@ -74,6 +78,10 @@ def test_ideal_minimalizes_and_sorts():
     ideal = MonomialIdeal(("x1", "x2"), [m("x1*x2"), m("x1"), m("x2^2")])
     assert gens(ideal) == {"x1", "x2^2"}
     assert [g.render(ideal.variables) for g in ideal.generators] == ["x1", "x2^2"]
+    # every given generator must lie in the ring, also one a smaller one divides
+    for outside in ([m("x3")], [m("x1"), m("x1*x3")]):
+        with pytest.raises(IdealError):
+            MonomialIdeal(("x1", "x2"), outside)
 
 
 def test_whole_ring_marker():
@@ -261,6 +269,71 @@ def test_linear_quotients_found_orders_validate():
         order = has_linear_quotients(ideal)
         if order is not None:
             assert is_linear_quotients_order(ideal, order)
+
+
+def test_order_check_matches_colon_oracle_on_symbolic_powers():
+    # shuffles mostly fail early; the found order and its adjacent swaps
+    # probe every position, including late failures
+    rng = random.Random(73)
+    verdicts = {True: 0, False: 0}
+    for n in range(2, 6):
+        for edges in connected_graphs_up_to_isomorphism(n):
+            for k in (1, 2, 3):
+                ideal = symbolic_power(as_graph(n, edges), k)
+                gens = list(ideal.generators)
+                orders = [gens, gens[::-1]]
+                for _ in range(6):
+                    orders.append(rng.sample(gens, len(gens)))
+                found = has_linear_quotients(ideal)
+                if found is not None:
+                    orders.append(found)
+                    for _ in range(4):
+                        i = rng.randrange(len(found) - 1)
+                        orders.append(found[:i] + [found[i + 1], found[i]] + found[i + 2:])
+                for order in orders:
+                    verdict = is_linear_quotients_order(ideal, order)
+                    assert verdict == naive_is_linear_quotients_order(order), (edges, k, order)
+                    verdicts[verdict] += 1
+    assert min(verdicts.values()) > 300, verdicts
+
+
+@pytest.mark.parametrize("ambient, order, expected", [
+    (("x", "y"), ["x^2", "x*y"], True),
+    (("x", "y"), ["x*y", "x^2"], True),
+    (("x", "y"), ["x^2", "y^2"], False),
+    (("x", "y"), ["x^2", "x*y", "y^2"], True),
+    (("x", "y"), ["x^3", "x^2*y", "x*y^2", "y^3"], True),
+    (("x", "y"), ["x^3", "y^3", "x^2*y", "x*y^2"], False),
+    (("x", "y"), ["x^2*y"], True),
+    (("x", "w", "y", "z"), ["y*z", "x^2*z"], True),
+    (("x", "w", "y", "z"), ["x^2*z", "y*z"], False),
+])
+def test_order_check_non_squarefree_edge_cases(ambient, order, expected):
+    # w is an ambient variable no generator uses: it owns no slots
+    order = [m(text) for text in order]
+    ideal = MonomialIdeal(ambient, order)
+    assert naive_is_linear_quotients_order(order) == expected
+    assert is_linear_quotients_order(ideal, order) == expected
+    assert (has_linear_quotients(ideal) is not None) == naive_has_linear_quotients(ideal)
+
+
+@pytest.mark.parametrize("graph, k, expected", [
+    (fish, 1, "x1*x3*x5 x1*x3*x6 x1*x2*x4*x5 x1*x2*x4*x6 x2*x4*x5*x6"),
+    (fish, 2, None),
+    (fish, 3, None),
+    (five_vertex_example, 3,
+     "x1^2*x2^2*x3^3*x4 x1^2*x2^2*x3^2*x4*x5 x1^2*x2*x3^3*x4^2 x1^2*x2*x3^2*x4^2*x5 "
+     "x1*x2^2*x3^3*x4^2 x1*x2^2*x3^2*x4^2*x5 x1*x2^2*x3*x4^2*x5^2 x1^3*x2^3*x3^3 "
+     "x1^3*x3^3*x4^3 x2^3*x3^3*x4^3 x2^3*x3^2*x4^3*x5 x2^3*x3*x4^3*x5^2 x2^3*x4^3*x5^3"),
+    (lambda: add_whiskers(cycle(4), ["x1"]).graph, 3,
+     "x1^3*x3^3 x1^3*x2*x3^2*x4 x1^2*x2*x3^2*x4*x5 x1^3*x2^2*x3*x4^2 x1^2*x2^2*x3*x4^2*x5 "
+     "x1*x2^2*x3*x4^2*x5^2 x1^3*x2^3*x4^3 x1^2*x2^3*x4^3*x5 x1*x2^3*x4^3*x5^2 x2^3*x4^3*x5^3"),
+], ids=["fish-1", "fish-2", "fish-3", "five-vertex-3", "whiskered-c4-3"])
+def test_linear_quotients_pinned_orders(graph, k, expected):
+    ideal = symbolic_power(graph(), k)
+    order = has_linear_quotients(ideal)
+    rendered = None if order is None else " ".join(g.render(ideal.variables) for g in order)
+    assert rendered == expected
 
 
 def random_ideal(rng, nvars=4, ngens=6, maxexp=2) -> MonomialIdeal:
