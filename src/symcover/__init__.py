@@ -26,24 +26,19 @@ from .duplication import (
     shadows_of,
 )
 from .ideals import (
-    EdgePrime,
     IdealError,
     Monomial,
     MonomialIdeal,
     cover_ideal,
     depolarize,
     has_linear_quotients,
-    intersect,
     is_linear_quotients_order,
     load_ideal,
-    minimal_primes,
     parse_ideal_text,
     parse_monomial,
     polarize,
     render_ideal_text,
-    symbolic_membership,
     symbolic_power,
-    symbolic_power_by_intersection,
 )
 from .decomposability import (
     CertificateLeaf,

@@ -103,21 +103,6 @@ def canonical_form(n: int, edges: EdgeSet, colors: Sequence[int] | None = None) 
     return (n, best_mask, best_colors)
 
 
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    """Brute-force isomorphism test for small graphs."""
-    if g.vertex_count != h.vertex_count or g.edge_count != h.edge_count:
-        return False
-    return canonical_form(*_as_indexed(g)) == canonical_form(*_as_indexed(h))
-
-
-def _as_indexed(graph: Graph) -> tuple[int, EdgeSet]:
-    index = {name: i for i, name in enumerate(graph.vertex_names)}
-    edges = frozenset(
-        (min(index[u], index[v]), max(index[u], index[v])) for u, v in graph.edges
-    )
-    return graph.vertex_count, edges
-
-
 def graphs_up_to_isomorphism(n: int) -> list[EdgeSet]:
     """All graphs on exactly n vertices, one representative per class.
 

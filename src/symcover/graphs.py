@@ -154,9 +154,6 @@ class Graph:
     def neighbors(self, name: str) -> frozenset[str]:
         return frozenset(self.names_of(self._rows[self.index_of(name)]))
 
-    def closed_neighborhood(self, name: str) -> frozenset[str]:
-        return self.neighbors(name) | {name}
-
     def degree(self, name: str) -> int:
         return self._rows[self.index_of(name)].bit_count()
 
@@ -208,10 +205,6 @@ class Graph:
 
     # -- independence and covers ---------------------------------------------
 
-    def is_independent_set(self, names: Iterable[str]) -> bool:
-        """True iff no edge of the graph joins two of the given vertices."""
-        return not _bitgraph.has_edge_within(self._rows, self.mask_of(names))
-
     def _canonical_sets(self, masks: Iterable[int]) -> list[frozenset[str]]:
         """Vertex sets ordered by size, then lexicographically by indices."""
         ordered = sorted(masks, key=lambda m: (m.bit_count(), tuple(_bitgraph.bits(m))))
@@ -232,11 +225,6 @@ class Graph:
         return self._canonical_sets(
             full & ~mask for mask in _bitgraph.maximal_independent_sets(self._rows, full)
         )
-
-    def is_simplicial_vertex(self, name: str) -> bool:
-        """True iff the closed neighborhood of the vertex induces a clique."""
-        nbrs = self._rows[self.index_of(name)]
-        return all(nbrs & ~self._rows[j] == 1 << j for j in _bitgraph.bits(nbrs))
 
     # -- cycles ---------------------------------------------------------------
 

@@ -1,6 +1,13 @@
 """Monomial ideals attached to graphs: cover ideals, symbolic powers,
 polarization, and the linear-quotients test.
 
+Both graph ideals are read off maximal independent sets.  The cover ideal
+J(G) takes one generator per minimal vertex cover of G, the complement of a
+maximal independent set.  The symbolic power J(G)^(k) polarizes to the cover
+ideal J(G_k) of the k-fold vertex duplication (Seyed Fakhari, Proc. AMS
+2018), so its generators are those of J(G_k) with the shadows x_v.1 ...
+x_v.a merged back into x_v^a.
+
 Monomials are exponent maps over named variables; ideals always store their
 unique minimal generating set, canonically sorted by (degree, then
 lexicographic preference for earlier ambient variables).  The zero-generator
@@ -31,6 +38,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from . import _bitgraph
+from .duplication import duplicate_vertices
 from .graphs import Graph
 
 
@@ -73,34 +82,9 @@ class Monomial:
     def one(cls) -> Monomial:
         return cls(())
 
-    def exponent(self, var: str) -> int:
-        for v, e in self.exps:
-            if v == var:
-                return e
-        return 0
-
-    @property
-    def degree(self) -> int:
-        return sum(e for _, e in self.exps)
-
     @property
     def variables(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.exps)
-
-    def is_squarefree(self) -> bool:
-        return all(e == 1 for _, e in self.exps)
-
-    def divides(self, other: Monomial) -> bool:
-        return all(other.exponent(v) >= e for v, e in self.exps)
-
-    def mul(self, other: Monomial) -> Monomial:
-        return Monomial.of(list(self.exps) + list(other.exps))
-
-    def lcm(self, other: Monomial) -> Monomial:
-        out = dict(self.exps)
-        for v, e in other.exps:
-            out[v] = max(out.get(v, 0), e)
-        return Monomial.of(out)
 
     def render(self, var_order: Sequence[str] | None = None) -> str:
         if not self.exps:
@@ -211,11 +195,6 @@ class MonomialIdeal:
     def is_whole_ring(self) -> bool:
         return self._whole
 
-    def contains(self, m: Monomial) -> bool:
-        if self._whole:
-            return True
-        return any(g.divides(m) for g in self._generators)
-
     def __eq__(self, other: object) -> bool:
         # ambient rings may legitimately differ (e.g. discarded isolated
         # variables); equality means the same minimal generating set
@@ -233,42 +212,8 @@ class MonomialIdeal:
         return f"MonomialIdeal({inside})"
 
 
-def intersect(left: MonomialIdeal, right: MonomialIdeal) -> MonomialIdeal:
-    """Intersection via pairwise least common multiples, then minimalization."""
-    if left.variables != right.variables:
-        raise IdealError("intersection requires matching ambient variables")
-    if left.is_whole_ring:
-        return right
-    if right.is_whole_ring:
-        return left
-    gens = [a.lcm(b) for a in left.generators for b in right.generators]
-    return MonomialIdeal(left.variables, gens)
-
-
 # ---------------------------------------------------------------------------
 # cover ideals and symbolic powers
-
-@dataclass(frozen=True)
-class EdgePrime:
-    """The height-two prime (u, v) attached to an edge."""
-
-    u: str
-    v: str
-
-    def __post_init__(self) -> None:
-        if self.u == self.v:
-            raise IdealError("an edge prime needs two distinct variables")
-
-    def power(self, k: int, variables: Sequence[str]) -> MonomialIdeal:
-        """The k-th power (u, v)^k, generated by u^i v^(k-i)."""
-        if k < 1:
-            raise IdealError(f"prime power exponent must be >= 1, got {k}")
-        gens = [
-            Monomial.of({self.u: i, self.v: k - i})
-            for i in range(k + 1)
-        ]
-        return MonomialIdeal(variables, gens)
-
 
 def cover_ideal(graph: Graph) -> MonomialIdeal:
     """Ideal generated by the products over the minimal vertex covers.
@@ -283,74 +228,28 @@ def cover_ideal(graph: Graph) -> MonomialIdeal:
     return MonomialIdeal(variables, gens)
 
 
-def minimal_primes(graph: Graph) -> list[EdgePrime]:
-    """One edge prime per edge, in canonical edge order."""
-    return [EdgePrime(u, v) for u, v in graph.edges]
-
-
-def symbolic_membership(graph: Graph, k: int, m: Monomial) -> bool:
-    """Membership in the k-th symbolic power of the cover ideal.
-
-    A monomial lies in every localized k-th power iff its exponents sum to
-    at least k across each edge.
-    """
-    if k < 1:
-        raise IdealError(f"symbolic power exponent must be >= 1, got {k}")
-    return all(m.exponent(u) + m.exponent(v) >= k for u, v in graph.edges)
-
-
 def symbolic_power(graph: Graph, k: int) -> MonomialIdeal:
     """Minimal generators of the k-th symbolic power of the cover ideal.
 
-    Generators are the minimal nonnegative integer vectors a with
-    a_u + a_v >= k on every edge.  Any minimal solution is bounded by k in
-    every coordinate (an entry above k could be lowered to k without
-    breaking a constraint), so the search space is {0..k}^n.
+    J(G)^(k) polarizes to J(G_k) (Seyed Fakhari, Proc. AMS 2018), so each
+    maximal independent set I of G_k gives one generator: the complement
+    of I is a minimal vertex cover of G_k, whose copies of x_i are
+    x_i.1 ... x_i.a, and x_i enters with exponent a = k - |I ∩ block i|.
+    ``duplicate_vertices`` puts the shadows of vertex i at bits
+    i*k ... i*k + k - 1, so block i is read off I's mask by shifting.
     """
     if k < 1:
         raise IdealError(f"symbolic power exponent must be >= 1, got {k}")
     names = graph.vertex_names
     if graph.edge_count == 0:
         return MonomialIdeal.whole(names)
-    n = len(names)
-    index = {name: i for i, name in enumerate(names)}
-    # edges whose second endpoint is the vertex being assigned, by position
-    pending: list[list[int]] = [[] for _ in range(n)]
-    for u, v in graph.edges:
-        a, b = index[u], index[v]
-        hi, lo = max(a, b), min(a, b)
-        pending[hi].append(lo)
-
-    feasible: list[tuple[int, ...]] = []
-    values = [0] * n
-
-    def assign(pos: int) -> None:
-        if pos == n:
-            feasible.append(tuple(values))
-            return
-        for val in range(k + 1):
-            values[pos] = val
-            if all(values[other] + val >= k for other in pending[pos]):
-                assign(pos + 1)
-        values[pos] = 0
-
-    assign(0)
+    dup = duplicate_vertices(graph, k)
+    block = (1 << k) - 1
     gens = [
-        Monomial.of({names[i]: e for i, e in enumerate(vec) if e})
-        for vec in feasible
+        Monomial.of({v: k - (mis >> i * k & block).bit_count() for i, v in enumerate(names)})
+        for mis in _bitgraph.maximal_independent_sets(dup.adjacency_masks(), dup.full_mask())
     ]
     return MonomialIdeal(names, gens)
-
-
-def symbolic_power_by_intersection(graph: Graph, k: int) -> MonomialIdeal:
-    """Oracle route: intersect the k-th powers of all edge primes."""
-    if k < 1:
-        raise IdealError(f"symbolic power exponent must be >= 1, got {k}")
-    names = graph.vertex_names
-    result = MonomialIdeal.whole(names)
-    for prime in minimal_primes(graph):
-        result = intersect(result, prime.power(k, names))
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -440,35 +339,42 @@ def has_linear_quotients(ideal: MonomialIdeal) -> list[Monomial] | None:
     Returns the first accepting order in the canonical candidate order
     (degree-nondecreasing, then preference for earlier variables), or None
     when no ordering works.  Whether a candidate can be appended depends
-    only on the set already chosen, so dead prefixes are memoized as sets.
+    only on the set already chosen, so dead prefixes are memoized as
+    bitmasks of generator indices.  The depth-first search keeps its own
+    stack, so ideals with thousands of generators stay within Python's
+    recursion limit.
     """
     if ideal.is_whole_ring or not ideal.generators:
         raise IdealError("linear quotients needs at least one generator")
     gens = ideal.generators
     masks = tuple(ideal._masks.values())
     q = len(gens)
-    dead: set[frozenset[int]] = set()
-
-    def extend(prefix: list[int], chosen: frozenset[int]) -> list[int] | None:
-        if len(prefix) == q:
-            return prefix
-        if chosen in dead:
-            return None
-        current = [masks[i] for i in prefix]
-        for i in range(q):
-            if i in chosen:
-                continue
-            if _linear_colons(current, masks[i]):
-                found = extend(prefix + [i], chosen | {i})
-                if found is not None:
-                    return found
-        dead.add(chosen)
-        return None
-
-    found = extend([], frozenset())
-    if found is None:
-        return None
-    return [gens[i] for i in found]
+    dead: set[int] = set()
+    prefix: list[int] = []  # generator indices placed so far
+    placed: list[int] = []  # their slot masks
+    chosen = 0              # prefix as a bitmask of indices
+    cursor = [0]            # next candidate to try, per position
+    while cursor:
+        i = cursor[-1]
+        while i < q and (chosen >> i & 1 or not _linear_colons(placed, masks[i])):
+            i += 1
+        if i == q:  # no extension of this prefix works
+            dead.add(chosen)
+            cursor.pop()
+            if prefix:
+                chosen ^= 1 << prefix.pop()
+                placed.pop()
+            continue
+        cursor[-1] = i + 1
+        if len(prefix) + 1 == q:
+            return [gens[j] for j in prefix + [i]]
+        if (chosen | 1 << i) in dead:
+            continue
+        prefix.append(i)
+        placed.append(masks[i])
+        chosen |= 1 << i
+        cursor.append(0)
+    return None
 
 
 # ---------------------------------------------------------------------------

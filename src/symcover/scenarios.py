@@ -479,15 +479,13 @@ def _search_tuple_violations(max_vertices: int, max_k: int) -> Iterator[Scenario
             whiskered = add_whiskers(graph, cover)
             m = whiskered.graph.edge_count
             base = f"search-ii/n{n}/g{g_index:03d}"
+            inputs = {
+                "graph": graph_digest(graph),
+                "edges": _edge_list(graph),
+                "S": "+".join(cover),
+            }
             if max_k**m > _TUPLE_SPACE_CAP:
-                report = ScenarioReport(
-                    scenario=f"{base}/skipped",
-                    inputs={
-                        "graph": graph_digest(graph),
-                        "edges": _edge_list(graph),
-                        "S": "+".join(cover),
-                    },
-                )
+                report = ScenarioReport(scenario=f"{base}/skipped", inputs=inputs)
                 report.flag(
                     f"skipped: {max_k}^{m} tuples exceed the desk-scale cap {_TUPLE_SPACE_CAP}"
                 )
@@ -500,12 +498,7 @@ def _search_tuple_violations(max_vertices: int, max_k: int) -> Iterator[Scenario
                 verdict = vertex_decomposable(duplicate_edges(whiskered.graph, t))
                 report = ScenarioReport(
                     scenario=f"{base}/t={t.render()}",
-                    inputs={
-                        "graph": graph_digest(graph),
-                        "edges": _edge_list(graph),
-                        "S": "+".join(cover),
-                        "tuple": t.render(),
-                    },
+                    inputs={**inputs, "tuple": t.render()},
                 )
                 report.flag("tuple is not whisker-dominant")
                 report.observe("vertex-decomposable", _yesno(verdict))

@@ -1,16 +1,48 @@
 """Independent brute-force reference implementations used only by tests.
 
 Everything here is written the dumbest defensible way (subset enumeration,
-permutation search, naive recursion) so that the tested code paths and the
-oracles cannot share a bug.
+permutation search, naive recursion, exponent-by-exponent monomial
+arithmetic) so that the tested code paths and the oracles cannot share a
+bug.  The one exception is ``are_isomorphic``, a test helper that compares
+the package's own canonical forms.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations, permutations
+from typing import Sequence
 
+from symcover.enumeration import EdgeSet, canonical_form
 from symcover.graphs import Graph
-from symcover.ideals import Monomial, MonomialIdeal
+from symcover.ideals import IdealError, Monomial, MonomialIdeal
+
+
+# ---------------------------------------------------------------------------
+# graphs
+
+def closed_neighborhood(graph: Graph, x: str) -> frozenset[str]:
+    return graph.neighbors(x) | {x}
+
+
+def is_simplicial_vertex(graph: Graph, x: str) -> bool:
+    """True iff the closed neighborhood of x induces a clique."""
+    return all(graph.has_edge(a, b) for a, b in combinations(graph.neighbors(x), 2))
+
+
+def are_isomorphic(g: Graph, h: Graph) -> bool:
+    """Isomorphism test for small graphs by comparing canonical forms."""
+    if g.vertex_count != h.vertex_count or g.edge_count != h.edge_count:
+        return False
+    return canonical_form(*_as_indexed(g)) == canonical_form(*_as_indexed(h))
+
+
+def _as_indexed(graph: Graph) -> tuple[int, EdgeSet]:
+    index = {name: i for i, name in enumerate(graph.vertex_names)}
+    edges = frozenset(
+        (min(index[u], index[v]), max(index[u], index[v])) for u, v in graph.edges
+    )
+    return graph.vertex_count, edges
 
 
 def subsets(names):
@@ -97,7 +129,7 @@ def brute_symbolic_generators(graph: Graph, k: int, bound: int) -> set[Monomial]
 
 def brute_is_shedding(graph: Graph, x: str) -> bool:
     """Literal reading: no independent set of G - N[x] is maximal in G - x."""
-    closed = graph.closed_neighborhood(x)
+    closed = closed_neighborhood(graph, x)
     outside = [v for v in graph.vertex_names if v not in closed]
     deleted = [v for v in graph.vertex_names if v != x]
     deleted_graph = graph.induced_subgraph(deleted)
@@ -154,41 +186,141 @@ def brute_vertex_decomposable(graph: Graph) -> bool:
         if not brute_is_shedding(graph, x):
             continue
         deletion = graph.delete_vertices([x])
-        link = graph.delete_vertices(graph.closed_neighborhood(x))
+        link = graph.delete_vertices(closed_neighborhood(graph, x))
         if brute_vertex_decomposable(deletion) and brute_vertex_decomposable(link):
             return True
     return False
 
 
+# ---------------------------------------------------------------------------
+# monomials and ideals, exponent by exponent
+
+def exponent(m: Monomial, var: str) -> int:
+    return dict(m.exps).get(var, 0)
+
+
+def degree(m: Monomial) -> int:
+    return sum(e for _, e in m.exps)
+
+
+def is_squarefree(m: Monomial) -> bool:
+    return all(e == 1 for _, e in m.exps)
+
+
+def divides(a: Monomial, b: Monomial) -> bool:
+    return all(exponent(b, v) >= e for v, e in a.exps)
+
+
+def mul(a: Monomial, b: Monomial) -> Monomial:
+    return Monomial.of(list(a.exps) + list(b.exps))
+
+
+def lcm(a: Monomial, b: Monomial) -> Monomial:
+    out = dict(a.exps)
+    for v, e in b.exps:
+        out[v] = max(out.get(v, 0), e)
+    return Monomial.of(out)
+
+
+def contains(ideal: MonomialIdeal, m: Monomial) -> bool:
+    return ideal.is_whole_ring or any(divides(g, m) for g in ideal.generators)
+
+
+def intersect(left: MonomialIdeal, right: MonomialIdeal) -> MonomialIdeal:
+    """Intersection via pairwise least common multiples, then minimalization."""
+    if left.variables != right.variables:
+        raise IdealError("intersection requires matching ambient variables")
+    if left.is_whole_ring:
+        return right
+    if right.is_whole_ring:
+        return left
+    gens = [lcm(a, b) for a in left.generators for b in right.generators]
+    return MonomialIdeal(left.variables, gens)
+
+
+@dataclass(frozen=True)
+class EdgePrime:
+    """The height-two prime (u, v) attached to an edge."""
+
+    u: str
+    v: str
+
+    def __post_init__(self) -> None:
+        if self.u == self.v:
+            raise IdealError("an edge prime needs two distinct variables")
+
+    def power(self, k: int, variables: Sequence[str]) -> MonomialIdeal:
+        """The k-th power (u, v)^k, generated by u^i v^(k-i)."""
+        if k < 1:
+            raise IdealError(f"prime power exponent must be >= 1, got {k}")
+        gens = [Monomial.of({self.u: i, self.v: k - i}) for i in range(k + 1)]
+        return MonomialIdeal(variables, gens)
+
+
+def minimal_primes(graph: Graph) -> list[EdgePrime]:
+    """One edge prime per edge, in canonical edge order."""
+    return [EdgePrime(u, v) for u, v in graph.edges]
+
+
+def symbolic_membership(graph: Graph, k: int, m: Monomial) -> bool:
+    """Membership in the k-th symbolic power of the cover ideal.
+
+    A monomial lies in every localized k-th power iff its exponents sum to
+    at least k across each edge.
+    """
+    if k < 1:
+        raise IdealError(f"symbolic power exponent must be >= 1, got {k}")
+    return all(exponent(m, u) + exponent(m, v) >= k for u, v in graph.edges)
+
+
+def symbolic_power_by_intersection(graph: Graph, k: int) -> MonomialIdeal:
+    """The k-th symbolic power as the intersection of the k-th edge-prime powers."""
+    if k < 1:
+        raise IdealError(f"symbolic power exponent must be >= 1, got {k}")
+    names = graph.vertex_names
+    result = MonomialIdeal.whole(names)
+    for prime in minimal_primes(graph):
+        result = intersect(result, prime.power(k, names))
+    return result
+
+
 def colon(g: Monomial, c: Monomial) -> Monomial:
     """g : c, i.e. g divided by gcd(g, c), exponent by exponent."""
-    return Monomial.of({v: max(0, e - c.exponent(v)) for v, e in g.exps})
+    return Monomial.of({v: max(0, e - exponent(c, v)) for v, e in g.exps})
 
 
 def naive_colon_is_linear(chosen: list[Monomial], candidate: Monomial) -> bool:
     colons = [colon(g, candidate) for g in chosen]
-    variables = {c.exps[0][0] for c in colons if c.degree == 1}
-    return all(any(c.exponent(v) >= 1 for v in variables) for c in colons)
+    variables = {c.exps[0][0] for c in colons if degree(c) == 1}
+    return all(any(exponent(c, v) >= 1 for v in variables) for c in colons)
 
 
 def naive_is_linear_quotients_order(order: list[Monomial]) -> bool:
     return all(naive_colon_is_linear(order[:i], order[i]) for i in range(1, len(order)))
 
 
-def naive_has_linear_quotients(ideal: MonomialIdeal) -> bool:
-    """Prefix-pruned search over permutations in raw input order, no memo."""
-    gens = list(ideal.generators)
+def first_accepted_order(items: list, accept) -> list | None:
+    """Prefix-pruned search over permutations in input order, no memo.
 
-    def rec(order: list[Monomial], rest: list[Monomial]) -> bool:
+    Returns the first order, trying items in input order at each position,
+    whose every item is accepted by ``accept(prefix, item)``.
+    """
+
+    def rec(order: list, rest: list) -> list | None:
         if not rest:
-            return True
+            return order
         for i, g in enumerate(rest):
-            if naive_colon_is_linear(order, g):
-                if rec(order + [g], rest[:i] + rest[i + 1 :]):
-                    return True
-        return False
+            if accept(order, g):
+                found = rec(order + [g], rest[:i] + rest[i + 1 :])
+                if found is not None:
+                    return found
+        return None
 
-    return rec([], gens)
+    return rec([], items)
+
+
+def naive_has_linear_quotients(ideal: MonomialIdeal) -> bool:
+    return first_accepted_order(list(ideal.generators), naive_colon_is_linear) is not None
 
 
 def exhaustive_linear_quotients_orders(ideal: MonomialIdeal):

@@ -10,7 +10,7 @@ import pytest
 
 import symcover
 from symcover.cli import main
-from symcover.graphs import save_graph
+from symcover.graphs import build_graph, save_graph
 
 from conftest import FIXTURES, c4, p3, whiskered_fish
 
@@ -74,6 +74,20 @@ def test_linear_quotients_exit_codes(capsys, tmp_path):
     bad.write_text("variables: x1 x2 x3 x4\nx1*x3\nx2*x4\n")
     code, out, _ = run(capsys, "linear-quotients", str(bad))
     assert code == 1 and "no" in out
+
+
+def test_linear_quotients_on_thousands_of_generators(capsys, tmp_path):
+    # one search position per generator: a recursive search overran
+    # Python's recursion limit here
+    names = [f"x{i}" for i in range(1, 27)]
+    graph_path = tmp_path / "p26.graph"
+    save_graph(build_graph(names, list(zip(names, names[1:]))), str(graph_path))
+    code, out, _ = run(capsys, "cover-ideal", str(graph_path))
+    assert code == 0 and len(out.splitlines()) == 1 + 1432
+    ideal_path = tmp_path / "p26.ideal"
+    ideal_path.write_text(out)
+    code, out, _ = run(capsys, "linear-quotients", str(ideal_path))
+    assert code == 0 and out.splitlines()[0] == "linear quotients: yes"
 
 
 def test_verify_main_pass_and_json(capsys, tmp_path):

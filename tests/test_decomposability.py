@@ -21,7 +21,12 @@ from symcover.graphs import GraphError, Graph, add_whiskers, build_graph
 from symcover.ideals import cover_ideal, has_linear_quotients, is_linear_quotients_order
 
 from conftest import c4, fish, p3, single_edge, whiskered_fish
-from oracles import brute_is_shedding, brute_vertex_decomposable, is_shedding_vertex_by_definition
+from oracles import (
+    brute_is_shedding,
+    brute_vertex_decomposable,
+    is_shedding_vertex_by_definition,
+    is_simplicial_vertex,
+)
 
 
 def random_graph(rng, n, p=0.5, prefix="x"):
@@ -74,7 +79,7 @@ def test_neighbors_of_simplicial_vertices_shed():
     for _ in range(30):
         g = random_graph(rng, rng.randint(2, 7))
         for v in g.vertex_names:
-            if g.degree(v) > 0 and g.is_simplicial_vertex(v):
+            if g.degree(v) > 0 and is_simplicial_vertex(g, v):
                 for w in g.neighbors(v):
                     assert is_shedding_vertex(g, w)
 

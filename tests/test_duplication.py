@@ -12,11 +12,11 @@ from symcover.duplication import (
     satisfies_whisker_dominance,
     shadows_of,
 )
-from symcover.enumeration import are_isomorphic
 from symcover.graphs import GraphError, add_whiskers, build_graph
 from symcover.ideals import cover_ideal
 
 from conftest import c4, single_edge
+from oracles import are_isomorphic
 
 
 def random_graph(rng, n, p=0.5):

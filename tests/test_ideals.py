@@ -5,37 +5,46 @@ from itertools import combinations
 
 import pytest
 
+from symcover import ideals
 from symcover.duplication import duplicate_vertices
 from symcover.graphs import add_whiskers, build_graph
 from symcover.ideals import (
-    EdgePrime,
     IdealError,
     Monomial,
     MonomialIdeal,
     cover_ideal,
     depolarize,
     has_linear_quotients,
-    intersect,
     is_linear_quotients_order,
-    minimal_primes,
     parse_ideal_text,
     parse_monomial,
     polarize,
     render_ideal_text,
-    symbolic_membership,
     symbolic_power,
-    symbolic_power_by_intersection,
 )
 
 from symcover.enumeration import as_graph, connected_graphs_up_to_isomorphism
 
-from conftest import c4, cycle, fish, five_vertex_example, p3, single_edge
+from conftest import c4, cycle, fish, five_vertex_example, p3, single_edge, whiskered_fish
 from oracles import (
+    EdgePrime,
     brute_symbolic_generators,
     colon,
+    contains,
+    degree,
+    divides,
     exhaustive_linear_quotients_orders,
+    exponent,
+    first_accepted_order,
+    intersect,
+    is_squarefree,
+    lcm,
+    minimal_primes,
+    mul,
     naive_has_linear_quotients,
     naive_is_linear_quotients_order,
+    symbolic_membership,
+    symbolic_power_by_intersection,
 )
 
 
@@ -57,12 +66,12 @@ def random_graph(rng, n, p=0.5):
 
 def test_monomial_basics():
     a = m("x1^2*x3")
-    assert a.degree == 3 and a.exponent("x1") == 2 and a.exponent("x9") == 0
-    assert not a.is_squarefree() and m("x1*x3").is_squarefree()
-    assert m("x1").divides(a) and not a.divides(m("x1*x3"))
-    assert a.lcm(m("x3^2*x4")) == m("x1^2*x3^2*x4")
+    assert degree(a) == 3 and exponent(a, "x1") == 2 and exponent(a, "x9") == 0
+    assert not is_squarefree(a) and is_squarefree(m("x1*x3"))
+    assert divides(m("x1"), a) and not divides(a, m("x1*x3"))
+    assert lcm(a, m("x3^2*x4")) == m("x1^2*x3^2*x4")
     assert colon(a, m("x1*x4")) == m("x1*x3")
-    assert m("1").degree == 0
+    assert degree(m("1")) == 0
 
 
 def test_monomial_parse_render_round_trip():
@@ -86,7 +95,7 @@ def test_ideal_minimalizes_and_sorts():
 
 def test_whole_ring_marker():
     whole = MonomialIdeal.whole(("x1",))
-    assert whole.is_whole_ring and whole.contains(m("1"))
+    assert whole.is_whole_ring and contains(whole, m("1"))
     with pytest.raises(IdealError):
         MonomialIdeal(("x1",), [m("1")])
 
@@ -151,6 +160,26 @@ def test_symbolic_power_matches_intersection_oracle():
         g = random_graph(rng, rng.randint(1, 5))
         k = rng.randint(1, 3)
         assert symbolic_power(g, k) == symbolic_power_by_intersection(g, k)
+    for g in (c4(), fish(), whiskered_fish(), five_vertex_example()):
+        assert symbolic_power(g, 4) == symbolic_power_by_intersection(g, 4)
+
+
+def test_symbolic_power_of_whiskered_c8_at_k4():
+    wc8 = add_whiskers(cycle(8), ["x1"]).graph
+    assert len(symbolic_power(wc8, 4).generators) == 245
+
+
+def test_symbolic_power_with_isolated_vertex_and_dotted_names():
+    # vertex names that look like shadows, and a vertex on no edge, which
+    # gets exponent 0 in every generator
+    g = build_graph(["a", "a.1", "b.2", "c"], [("a", "a.1"), ("a.1", "b.2")])
+    assert render_ideal_text(symbolic_power(g, 3)) == (
+        "variables: a a.1 b.2 c\n"
+        "a.1^3\n"
+        "a*a.1^2*b.2\n"
+        "a^2*a.1*b.2^2\n"
+        "a^3*b.2^3\n"
+    )
 
 
 def test_membership_agrees_with_generators():
@@ -159,7 +188,7 @@ def test_membership_agrees_with_generators():
     rng = random.Random(43)
     for _ in range(50):
         probe = Monomial.of({v: rng.randint(0, 3) for v in g.vertex_names})
-        assert ideal.contains(probe) == symbolic_membership(g, 2, probe)
+        assert contains(ideal, probe) == symbolic_membership(g, 2, probe)
 
 
 def test_ordinary_power_inside_symbolic_power():
@@ -173,7 +202,7 @@ def test_ordinary_power_inside_symbolic_power():
         for combo in combinations(list(cov.generators) * k, k):
             product = Monomial.one()
             for factor in combo:
-                product = product.mul(factor)
+                product = mul(product, factor)
             assert symbolic_membership(g, k, product)
 
 
@@ -208,7 +237,7 @@ def test_polarize_examples():
     squarefree = cover_ideal(c4())
     pol = polarize(squarefree)
     assert gens(pol) == {"x1.1*x3.1", "x2.1*x4.1"}
-    assert all(g.is_squarefree() for g in pol.generators)
+    assert all(is_squarefree(g) for g in pol.generators)
 
 
 def test_polarize_matches_vertex_duplication():
@@ -336,12 +365,34 @@ def test_linear_quotients_pinned_orders(graph, k, expected):
     assert rendered == expected
 
 
+def test_linear_quotients_search_backtracks_like_plain_recursion(monkeypatch):
+    # On the ideals of these tests the search never backtracks into an
+    # order once one exists, so a random stand-in for the colon test drives
+    # the backtracking and the dead-prefix memo.  Like the real test it
+    # depends only on the chosen set, which is what makes the memo sound.
+    ideal = MonomialIdeal(tuple(f"x{i}" for i in range(6)), [m(f"x{i}") for i in range(6)])
+    masks = list(ideal._masks.values())
+    outcomes = {True: 0, False: 0}
+    for seed in range(150):
+        def accept(placed, candidate):
+            return random.Random(f"{seed}/{sorted(placed)}/{candidate}").random() < 0.35
+
+        expected = first_accepted_order(masks, accept)
+        monkeypatch.setattr(ideals, "_linear_colons", accept)
+        order = has_linear_quotients(ideal)
+        monkeypatch.undo()
+        got = None if order is None else [ideal._masks[g] for g in order]
+        assert got == expected, seed
+        outcomes[expected is not None] += 1
+    assert min(outcomes.values()) > 20, outcomes
+
+
 def random_ideal(rng, nvars=4, ngens=6, maxexp=2) -> MonomialIdeal:
     ambient = tuple(f"x{i}" for i in range(1, nvars + 1))
     pool = []
     for _ in range(ngens):
         pool.append(Monomial.of({v: rng.randint(0, maxexp) for v in ambient}))
-    pool = [g for g in pool if g.degree > 0] or [Monomial.of({"x1": 1})]
+    pool = [g for g in pool if degree(g) > 0] or [Monomial.of({"x1": 1})]
     return MonomialIdeal(ambient, pool)
 
 

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from symcover.enumeration import are_isomorphic
 from symcover.graphs import GraphError, StarCompleteSpec, build_graph
 from symcover.scenarios import (
     counterexample_search,
@@ -15,6 +14,7 @@ from symcover.scenarios import (
 )
 
 from conftest import c4, fish, five_vertex_example
+from oracles import are_isomorphic
 
 
 def step(report, name):

@@ -2,11 +2,11 @@ from __future__ import annotations
 
 import pytest
 
-from symcover.enumeration import are_isomorphic
 from symcover.graphs import build_graph
 from symcover.scenarios import counterexample_search
 
 from conftest import fish
+from oracles import are_isomorphic
 
 
 @pytest.mark.slow
