@@ -75,28 +75,41 @@ def is_forest(adj: Sequence[int], mask: int) -> bool:
 def maximal_independent_sets(adj: Sequence[int], mask: int) -> Iterator[int]:
     """Yield the maximal independent sets of the induced subgraph on ``mask``.
 
-    Bron-Kerbosch with pivoting on the complement graph.  The empty graph
-    has the single maximal independent set 0.
+    Bron-Kerbosch with pivoting on the complement graph, run on an explicit
+    stack so that no recursion limit bounds the size of a set.  The empty
+    graph has the single maximal independent set 0.
     """
     # non-neighborhood rows restricted to mask; independent sets are cliques
     # of this complement adjacency
     na = {v: mask & ~adj[v] & ~(1 << v) for v in bits(mask)}
-
-    def expand(r: int, p: int, x: int) -> Iterator[int]:
-        if p == 0 and x == 0:
-            yield r
+    # frames [r, p, x, candidates not yet branched on]; the branch (r, p, x)
+    # being opened is held outside the stack
+    stack: list[list[int]] = []
+    r, p, x = 0, mask, 0
+    while True:
+        if not p:
+            if not x:
+                yield r
+        else:
+            pivot = -1
+            best = -1
+            for u in bits(p | x):
+                score = (p & na[u]).bit_count()
+                if score > best:
+                    best = score
+                    pivot = u
+            stack.append([r, p, x, p & ~na[pivot]])
+        while stack:
+            frame = stack[-1]
+            cand = frame[3]
+            if cand:
+                low = cand & -cand
+                v = low.bit_length() - 1
+                r, p, x = frame[0] | low, frame[1] & na[v], frame[2] & na[v]
+                frame[1] &= ~low
+                frame[2] |= low
+                frame[3] = cand ^ low
+                break
+            stack.pop()
+        else:
             return
-        pivot = -1
-        best = -1
-        for u in bits(p | x):
-            score = (p & na[u]).bit_count()
-            if score > best:
-                best = score
-                pivot = u
-        cand = p & ~na[pivot]
-        for v in bits(cand):
-            yield from expand(r | (1 << v), p & na[v], x & na[v])
-            p &= ~(1 << v)
-            x |= 1 << v
-
-    yield from expand(0, mask, 0)

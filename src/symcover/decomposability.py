@@ -81,7 +81,7 @@ def validate_certificate(graph: Graph, cert: DecompositionCertificate) -> bool:
     leaves the mask of its deletion branch, so the leaf checks pin the
     vertex set of every node above them.
     """
-    engine = DecompositionEngine(graph)
+    engine = DecompositionEngine(graph.adjacency_masks())
 
     def holds(mask: int, node: DecompositionCertificate) -> bool:
         if isinstance(node, CertificateLeaf):
@@ -108,15 +108,21 @@ def validate_certificate(graph: Graph, cert: DecompositionCertificate) -> bool:
 class DecompositionEngine:
     """Exact vertex-decomposability over induced subgraphs of one graph.
 
-    One engine instance shares its memo tables across every query about
-    induced subgraphs of the ambient graph, which is what the sequence
-    checker and the scenario harness rely on.
+    The ambient graph is given by its adjacency rows (bitmasks over vertex
+    indices); ``names`` is needed only to build certificates, which name
+    their vertices.  One engine instance shares its memo tables across every
+    query about induced subgraphs of the ambient graph, which is what the
+    sequence checker and the scenario search rely on.  The search in mode i
+    asks one engine on W_k, the k-fold duplication of G whiskered at every
+    vertex, about every whisker set S: whiskering G at S and duplicating k
+    times gives the induced subgraph of W_k on the shadows of G and of the
+    leaves at S.
     """
 
-    def __init__(self, graph: Graph):
-        self.graph = graph
-        self._adj = graph.adjacency_masks()
-        self._full = graph.full_mask()
+    def __init__(self, rows: Sequence[int], names: Sequence[str] | None = None):
+        self._adj = list(rows)
+        self._names = None if names is None else tuple(names)
+        self._full = (1 << len(self._adj)) - 1
         self._verdict: dict[int, bool] = {}
         self._choice: dict[int, int] = {}
         self._cert_cache: dict[int, DecompositionCertificate] = {}
@@ -227,13 +233,17 @@ class DecompositionEngine:
     # -- certificates ---------------------------------------------------------
 
     def certificate_for_mask(self, mask: int) -> DecompositionCertificate | None:
+        if self._names is None:
+            raise GraphError("certificates need the vertex names of the engine's graph")
         if not self.is_vd_mask(mask):
             return None
         cached = self._cert_cache.get(mask)
         if cached is not None:
             return cached
         if not _bitgraph.has_edge_within(self._adj, mask):
-            cert: DecompositionCertificate = CertificateLeaf(self.graph.names_of(mask))
+            cert: DecompositionCertificate = CertificateLeaf(
+                tuple(self._names[i] for i in _bitgraph.bits(mask))
+            )
         else:
             core = _bitgraph.isolated_stripped(self._adj, mask)
             comp = next(
@@ -244,7 +254,7 @@ class DecompositionEngine:
             deletion = self.certificate_for_mask(mask & ~(1 << v))
             link = self.certificate_for_mask(mask & ~self._closed(v))
             assert deletion is not None and link is not None
-            cert = CertificateNode(self.graph.vertices[v].name, deletion, link)
+            cert = CertificateNode(self._names[v], deletion, link)
         self._cert_cache[mask] = cert
         return cert
 
@@ -254,17 +264,19 @@ class DecompositionEngine:
 
 def is_shedding_vertex(graph: Graph, name: str) -> bool:
     """True iff no independent set of G - N[x] is maximal in G - x."""
-    return DecompositionEngine(graph).sheds(graph.full_mask(), graph.index_of(name))
+    return DecompositionEngine(graph.adjacency_masks()).sheds(
+        graph.full_mask(), graph.index_of(name)
+    )
 
 
 def is_vertex_decomposable(graph: Graph) -> DecompositionCertificate | None:
     """Certificate of vertex decomposability, or None when there is none."""
-    return DecompositionEngine(graph).certificate()
+    return DecompositionEngine(graph.adjacency_masks(), graph.vertex_names).certificate()
 
 
 def vertex_decomposable(graph: Graph) -> bool:
     """Verdict only; skips building the certificate tree."""
-    return DecompositionEngine(graph).is_vd()
+    return DecompositionEngine(graph.adjacency_masks()).is_vd()
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +320,7 @@ def check_shedding_sequence(graph: Graph, vertices: Sequence[str]) -> SheddingSe
             raise GraphError(f"repeated vertex {name!r} in shedding sequence")
         seen.add(name)
 
-    engine = DecompositionEngine(graph)
+    engine = DecompositionEngine(graph.adjacency_masks())
     current = graph.full_mask()
     steps: list[SequenceStep] = []
     for name in vertices:

@@ -7,11 +7,16 @@ uses one global multiplicity k (every vertex gets exactly k shadows, even
 isolated ones); duplicating edges takes one multiplicity per edge, in the
 graph's canonical edge order, and only creates the shadows its expansions
 need.
+
+The counterexample search builds edge duplications as adjacency rows
+(``duplicated_edge_rows``) and checks whisker dominance on edge positions
+(``dominance_rules``), by the same rules as the named versions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 from .graphs import Graph, GraphError, WhiskeredGraph, shadow_vertex
@@ -56,19 +61,22 @@ def coerce_tuple(t: DuplicationTuple | Sequence[int]) -> DuplicationTuple:
     return t if isinstance(t, DuplicationTuple) else DuplicationTuple(tuple(t))
 
 
-def expand_edge(edge: tuple[str, str], r: int) -> tuple[tuple[str, str], ...]:
-    """Shadow edges {x.p, y.q}, p + q <= r + 1, of one edge at multiplicity ``r``.
+@cache
+def copy_pairs(r: int) -> tuple[tuple[int, int], ...]:
+    """Copy indices (p, q), p + q <= r + 1, of one edge at multiplicity ``r``.
 
-    Empty when r = 0.  This is the one shadow-edge rule of both duplications.
+    In (p, q) order; empty when r = 0.  This is the one shadow-edge rule of
+    both duplications and of ``duplicated_edge_rows``.
     """
     if r < 0:
         raise GraphError(f"edge multiplicity must be >= 0, got {r}")
+    return tuple((p, q) for p in range(1, r + 1) for q in range(1, r + 2 - p))
+
+
+def expand_edge(edge: tuple[str, str], r: int) -> tuple[tuple[str, str], ...]:
+    """Shadow edges {x.p, y.q}, p + q <= r + 1, of one edge at multiplicity ``r``."""
     u, v = edge
-    return tuple(
-        (f"{u}.{p}", f"{v}.{q}")
-        for p in range(1, r + 1)
-        for q in range(1, r + 2 - p)
-    )
+    return tuple((f"{u}.{p}", f"{v}.{q}") for p, q in copy_pairs(r))
 
 
 def duplicate_edges(graph: Graph, t: DuplicationTuple | Sequence[int]) -> Graph:
@@ -83,18 +91,47 @@ def duplicate_edges(graph: Graph, t: DuplicationTuple | Sequence[int]) -> Graph:
         raise GraphError(
             f"tuple length {len(t)} does not match the {graph.edge_count} edges of the graph"
         )
-    copies: dict[str, int] = {}
-    all_edges: list[tuple[str, str]] = []
-    for edge, r in zip(graph.edges, t):
-        all_edges.extend(expand_edge(edge, r))
-        for end in edge:
-            copies[end] = max(copies.get(end, 0), r)
+    pairs = [(graph.index_of(u), graph.index_of(v)) for u, v in graph.edges]
     verts = [
         shadow_vertex(v.name, p)
-        for v in graph.vertices
-        for p in range(1, copies.get(v.name, 0) + 1)
+        for v, c in zip(graph.vertices, _copy_counts(graph.vertex_count, pairs, t))
+        for p in range(1, c + 1)
     ]
-    return Graph(verts, all_edges)
+    edges = [shadow for edge, r in zip(graph.edges, t) for shadow in expand_edge(edge, r)]
+    return Graph(verts, edges)
+
+
+def _copy_counts(vertex_count: int, edges: Sequence[tuple[int, int]], t: Sequence[int]) -> list[int]:
+    """Shadows per vertex in an edge duplication: its largest edge multiplicity."""
+    copies = [0] * vertex_count
+    for (i, j), r in zip(edges, t):
+        copies[i] = max(copies[i], r)
+        copies[j] = max(copies[j], r)
+    return copies
+
+
+def duplicated_edge_rows(
+    vertex_count: int, edges: Sequence[tuple[int, int]], t: Sequence[int]
+) -> list[int]:
+    """Adjacency rows of ``duplicate_edges`` for a graph given by index pairs.
+
+    ``edges`` lists the graph's edges as (i, j) vertex indices in edge
+    order and ``t`` their multiplicities.  The rows follow the vertex order
+    of ``duplicate_edges``: base vertices in order, copies ascending.
+    """
+    first = []  # row of each vertex's first shadow
+    total = 0
+    for c in _copy_counts(vertex_count, edges, t):
+        first.append(total)
+        total += c
+    rows = [0] * total
+    for (i, j), r in zip(edges, t):
+        for p, q in copy_pairs(r):
+            a = first[i] + p - 1
+            b = first[j] + q - 1
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+    return rows
 
 
 def duplicate_vertices(graph: Graph, k: int) -> Graph:
@@ -118,6 +155,36 @@ def shadows_of(graph: Graph, base: str) -> tuple[str, ...]:
     return tuple(v.name for v in sorted(mine, key=lambda v: v.copy or 0))
 
 
+DominanceRule = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def dominance_rules(whiskered: WhiskeredGraph) -> tuple[DominanceRule, ...]:
+    """Whisker dominance as edge positions, one rule per support vertex.
+
+    A rule is (positions of the support's base edges, positions of its
+    whisker edges) in the whiskered graph's edge order; supports without
+    base edges give no rule.
+    """
+    position = {frozenset(e): i for i, e in enumerate(whiskered.graph.edges)}
+    rules = []
+    for support in sorted(whiskered.support_set, key=whiskered.graph.index_of):
+        incident = tuple(
+            position[frozenset((support, nbr))] for nbr in whiskered.base.neighbors(support)
+        )
+        if incident:
+            whiskers = tuple(position[frozenset(e)] for e in whiskered.whisker_edges[support])
+            rules.append((incident, whiskers))
+    return tuple(rules)
+
+
+def dominates(rules: Sequence[DominanceRule], t: Sequence[int]) -> bool:
+    """True iff at every rule each whisker entry is >= each base-edge entry."""
+    return all(
+        min(t[i] for i in whiskers) >= max(t[i] for i in incident)
+        for incident, whiskers in rules
+    )
+
+
 def satisfies_whisker_dominance(whiskered: WhiskeredGraph, t: DuplicationTuple | Sequence[int]) -> bool:
     """Check that every whisker edge's multiplicity dominates its support.
 
@@ -131,16 +198,4 @@ def satisfies_whisker_dominance(whiskered: WhiskeredGraph, t: DuplicationTuple |
         raise GraphError(
             f"tuple length {len(t)} does not match the {graph.edge_count} edges of the graph"
         )
-    by_edge = {frozenset(e): t[i] for i, e in enumerate(graph.edges)}
-    for support in whiskered.support_set:
-        incident = [
-            by_edge[frozenset((support, nbr))]
-            for nbr in whiskered.base.neighbors(support)
-        ]
-        if not incident:
-            continue
-        worst = max(incident)
-        for edge in whiskered.whisker_edges[support]:
-            if by_edge[frozenset(edge)] < worst:
-                return False
-    return True
+    return dominates(dominance_rules(whiskered), t)

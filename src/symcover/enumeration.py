@@ -6,11 +6,14 @@ rows built once from those pairs.  Canonical forms are computed by brute
 force: vertices are partitioned by an iterated neighborhood invariant and
 the edge bitmask is maximized over all permutations that respect the
 partition.  That is exponential in the worst case but entirely adequate
-below ~8 vertices, which is all this package ever enumerates.
+below ~8 vertices, which is all this package ever enumerates.  The same
+permutations give the automorphism group: an automorphism preserves the
+partition, so it is one of them.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, permutations
 from typing import Iterator, Sequence
 
@@ -33,12 +36,10 @@ def _rows(n: int, edges: EdgeSet) -> list[int]:
     return rows
 
 
-def _refined_classes(rows: Sequence[int], colors: Sequence[int] | None) -> list[list[int]]:
+def _refined_classes(rows: Sequence[int]) -> list[list[int]]:
     """Partition vertices by an isomorphism-invariant signature."""
     n = len(rows)
-    sig: list[tuple] = [
-        (colors[v] if colors else 0, rows[v].bit_count()) for v in range(n)
-    ]
+    sig: list[tuple] = [(rows[v].bit_count(),) for v in range(n)]
     for _ in range(2):
         sig = [
             (*sig[v], tuple(sorted(sig[w] for w in bits(rows[v]))))
@@ -75,44 +76,56 @@ def _class_respecting_permutations(classes: list[list[int]]) -> Iterator[tuple[i
     yield from rec(0, [0] * total)
 
 
-def canonical_form(n: int, edges: EdgeSet, colors: Sequence[int] | None = None) -> tuple:
-    """A label-independent key for (graph, optional vertex coloring)."""
+def canonical_form(n: int, edges: EdgeSet) -> tuple:
+    """A label-independent key for a graph on vertices 0..n-1."""
     pair_index = _pair_index(n)
-    classes = _refined_classes(_rows(n, edges), colors)
     best_mask = -1
-    best_colors: tuple[int, ...] | None = None
-    for perm in _class_respecting_permutations(classes):
+    for perm in _class_respecting_permutations(_refined_classes(_rows(n, edges))):
         mask = 0
         for i, j in edges:
             a, b = perm[i], perm[j]
             if a > b:
                 a, b = b, a
             mask |= 1 << pair_index[(a, b)]
-        if colors is None:
-            if mask > best_mask:
-                best_mask = mask
-        else:
-            mapped = [0] * n
-            for v in range(n):
-                mapped[perm[v]] = colors[v]
-            key = (mask, tuple(mapped))
-            if best_colors is None or key > (best_mask, best_colors):
-                best_mask, best_colors = key
-    if colors is None:
-        return (n, best_mask)
-    return (n, best_mask, best_colors)
+        if mask > best_mask:
+            best_mask = mask
+    return (n, best_mask)
 
 
-def graphs_up_to_isomorphism(n: int) -> list[EdgeSet]:
+def automorphisms(rows: Sequence[int]) -> list[tuple[int, ...]]:
+    """Aut(G) as permutations sigma, vertex v going to sigma[v].
+
+    The candidates are the permutations inside the invariant classes; the
+    ones that map every adjacency row onto the row of the image vertex are
+    the automorphisms.  The identity comes first.
+    """
+    classes = _refined_classes(rows)
+    # class-respecting relabelings send vertices to block positions; reading
+    # the positions back through ``flat`` makes each one a permutation
+    # within the classes, starting with the identity
+    flat = [v for cls in classes for v in cls]
+    found = []
+    for perm in _class_respecting_permutations(classes):
+        sigma = tuple(flat[perm[v]] for v in range(len(rows)))
+        if all(
+            sum(1 << sigma[w] for w in bits(row)) == rows[sigma[v]]
+            for v, row in enumerate(rows)
+        ):
+            found.append(sigma)
+    return found
+
+
+@cache
+def graphs_up_to_isomorphism(n: int) -> tuple[EdgeSet, ...]:
     """All graphs on exactly n vertices, one representative per class.
 
     Built by vertex augmentation: every representative on n-1 vertices is
     extended by a new vertex with every possible neighborhood, then
     deduplicated by canonical form.  Results are sorted by canonical form,
-    so the order is reproducible.
+    so the order is reproducible.  Each level is built once per process.
     """
     if n == 0:
-        return [frozenset()]
+        return (frozenset(),)
     reps: dict[tuple, EdgeSet] = {}
     new = n - 1
     for smaller in graphs_up_to_isomorphism(n - 1):
@@ -125,15 +138,15 @@ def graphs_up_to_isomorphism(n: int) -> list[EdgeSet]:
             key = canonical_form(n, candidate)
             if key not in reps:
                 reps[key] = candidate
-    return [reps[key] for key in sorted(reps)]
+    return tuple(reps[key] for key in sorted(reps))
 
 
 def _is_connected(n: int, edges: EdgeSet) -> bool:
     return n <= 1 or len(components(_rows(n, edges), (1 << n) - 1)) == 1
 
 
-def connected_graphs_up_to_isomorphism(n: int) -> list[EdgeSet]:
-    return [e for e in graphs_up_to_isomorphism(n) if _is_connected(n, e)]
+def connected_graphs_up_to_isomorphism(n: int) -> tuple[EdgeSet, ...]:
+    return tuple(e for e in graphs_up_to_isomorphism(n) if _is_connected(n, e))
 
 
 def as_graph(n: int, edges: EdgeSet, prefix: str = "x") -> Graph:

@@ -9,6 +9,16 @@ interesting counterexamples are exactly the hypothesis-violating runs.
 
 Reports render deterministically; wall-clock duration is kept on the object
 but never rendered, so identical inputs give byte-identical output.
+
+The counterexample search runs on adjacency rows and vertex masks; named
+graphs appear only in its reports.  Mode i rests on an induced-subgraph
+identity: whiskering G at S and duplicating k times gives the subgraph of
+W_k induced on the shadows of G and of the leaves at S, where W is G
+whiskered at every vertex.  So one decomposability engine per base graph
+and k answers every S and shares its memo across them.  S is tried once per
+orbit of Aut(G), as the orbit's lexicographically smallest set.  Mode ii
+builds the rows of each edge duplication straight from the whiskered
+graph's edge index pairs.
 """
 
 from __future__ import annotations
@@ -19,16 +29,20 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Iterator, Mapping, Sequence
 
-from .decomposability import check_shedding_sequence, vertex_decomposable
+from . import _bitgraph
+from .decomposability import DecompositionEngine, check_shedding_sequence, vertex_decomposable
 from .duplication import (
     DuplicationTuple,
     coerce_tuple,
+    dominance_rules,
+    dominates,
     duplicate_edges,
     duplicate_vertices,
+    duplicated_edge_rows,
     satisfies_whisker_dominance,
     shadows_of,
 )
-from .enumeration import as_graph, canonical_form, connected_graphs_up_to_isomorphism
+from .enumeration import as_graph, automorphisms, connected_graphs_up_to_isomorphism
 from .graphs import (
     Graph,
     GraphError,
@@ -395,7 +409,9 @@ def counterexample_search(max_vertices: int, max_k: int, mode: str) -> Iterator[
     vertices.  Reports appear when the unduplicated graph is vertex
     decomposable but some k breaks it (a boundary witness), or when every
     k up to ``max_k`` passes anyway (evidence the hypothesis could be
-    weakened).
+    weakened).  Sets that an automorphism of the base graph maps onto each
+    other give the same verdicts; only the first of them in enumeration
+    order is reported.
 
     mode "ii": whisker at the minimum cycle cover and enumerate duplication
     tuples with entries in 1..max_k that are NOT whisker-dominant; every
@@ -422,42 +438,79 @@ def _search_non_cycle_covers(max_vertices: int, max_k: int) -> Iterator[Scenario
             graph = as_graph(n, edges)
             if graph.is_cycle_cover(()):
                 continue  # forests: every subset is a cycle cover
-            seen: set[tuple] = set()
-            for size in range(0, n + 1):
-                for combo in combinations(range(n), size):
-                    names = [graph.vertex_names[i] for i in combo]
-                    if graph.is_cycle_cover(names):
-                        continue
-                    colors = [1 if i in combo else 0 for i in range(n)]
-                    key = canonical_form(n, edges, colors)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    report = _explore_non_cycle_cover(graph, names, max_k, n, g_index)
-                    if report is not None:
-                        yield report
+            whiskered = add_whiskers(graph, graph.vertex_names).graph
+            engines = [
+                DecompositionEngine(duplicate_vertices(whiskered, k).adjacency_masks())
+                for k in range(1, max_k + 1)
+            ]
+            inputs = {"graph": graph_digest(graph), "edges": _edge_list(graph)}
+            for combo in _orbit_minimal_non_covers(graph.adjacency_masks()):
+                names = [graph.vertex_names[i] for i in combo]
+                report = _explore_non_cycle_cover(engines, combo, names, inputs, n, g_index)
+                if report is not None:
+                    yield report
+
+
+def _orbit_minimal_non_covers(rows: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Vertex sets S that are not cycle covers, one per Aut(G) orbit.
+
+    Sets come in enumeration order (by size, then lexicographically), and
+    the one kept from each orbit is its first, the lexicographically
+    smallest: the image of S under no automorphism precedes S.  Orbits
+    preserve size, and between two sets of one size the one holding the
+    lowest element of their symmetric difference comes first.
+    """
+    n = len(rows)
+    full = (1 << n) - 1
+    images = [[1 << image for image in sigma] for sigma in automorphisms(rows)[1:]]
+    for size in range(n + 1):
+        for combo in combinations(range(n), size):
+            smask = sum(1 << i for i in combo)
+            if _bitgraph.is_forest(rows, full & ~smask):
+                continue
+            for bit in images:
+                diff = smask ^ sum(bit[i] for i in combo)
+                if diff & -diff & ~smask:
+                    break  # the image holds the lowest differing vertex
+            else:
+                yield combo
+
+
+def _whiskered_shadow_mask(n: int, combo: Sequence[int], k: int) -> int:
+    """G whiskered at ``combo`` and duplicated k times, as a mask of W_k.
+
+    W is G whiskered at every vertex, so the leaf of vertex i is vertex
+    n + i, and the shadow of W's vertex j at copy p is bit j*k + p - 1 of
+    W_k.  The mask holds every shadow of G and the shadows of the leaves at
+    ``combo``; the subgraph it induces is the duplication of G whiskered at
+    ``combo``, up to vertex names.
+    """
+    mask = (1 << n * k) - 1
+    block = (1 << k) - 1
+    for i in combo:
+        mask |= block << (n + i) * k
+    return mask
 
 
 def _explore_non_cycle_cover(
-    graph: Graph, names: Sequence[str], max_k: int, n: int, g_index: int
+    engines: Sequence[DecompositionEngine],
+    combo: Sequence[int],
+    names: Sequence[str],
+    inputs: Mapping[str, str],
+    n: int,
+    g_index: int,
 ) -> ScenarioReport | None:
-    whiskered = add_whiskers(graph, names)
-    h = whiskered.graph
+    max_k = len(engines)
     verdicts: list[bool] = []
-    for k in range(1, max_k + 1):
-        verdicts.append(vertex_decomposable(duplicate_vertices(h, k)))
+    for k, engine in enumerate(engines, start=1):
+        verdicts.append(engine.is_vd_mask(_whiskered_shadow_mask(n, combo, k)))
         if not verdicts[-1]:
             break
     if not verdicts[0]:
         return None  # not decomposable even before duplicating: not an edge case
     report = ScenarioReport(
         scenario=f"search-i/n{n}/g{g_index:03d}/S{len(names)}:{'+'.join(names) or '-'}",
-        inputs={
-            "graph": graph_digest(graph),
-            "edges": _edge_list(graph),
-            "S": "+".join(names) or "(empty)",
-            "max_k": str(max_k),
-        },
+        inputs={**inputs, "S": "+".join(names) or "(empty)", "max_k": str(max_k)},
     )
     report.flag("S is not a cycle cover")
     for k, verdict in enumerate(verdicts, start=1):
@@ -477,7 +530,8 @@ def _search_tuple_violations(max_vertices: int, max_k: int) -> Iterator[Scenario
                 continue
             cover = sorted(graph.minimum_cycle_cover(), key=graph.index_of)
             whiskered = add_whiskers(graph, cover)
-            m = whiskered.graph.edge_count
+            h = whiskered.graph
+            m = h.edge_count
             base = f"search-ii/n{n}/g{g_index:03d}"
             inputs = {
                 "graph": graph_digest(graph),
@@ -491,14 +545,17 @@ def _search_tuple_violations(max_vertices: int, max_k: int) -> Iterator[Scenario
                 )
                 yield report
                 continue
+            rules = dominance_rules(whiskered)
+            pairs = [(h.index_of(u), h.index_of(v)) for u, v in h.edges]
             for entries in product(range(1, max_k + 1), repeat=m):
-                t = DuplicationTuple(entries)
-                if satisfies_whisker_dominance(whiskered, t):
+                if dominates(rules, entries):
                     continue
-                verdict = vertex_decomposable(duplicate_edges(whiskered.graph, t))
+                rows = duplicated_edge_rows(h.vertex_count, pairs, entries)
+                verdict = DecompositionEngine(rows).is_vd()
+                t = DuplicationTuple(entries).render()
                 report = ScenarioReport(
-                    scenario=f"{base}/t={t.render()}",
-                    inputs={**inputs, "tuple": t.render()},
+                    scenario=f"{base}/t={t}",
+                    inputs={**inputs, "tuple": t},
                 )
                 report.flag("tuple is not whisker-dominant")
                 report.observe("vertex-decomposable", _yesno(verdict))

@@ -3,8 +3,9 @@
 Everything here is written the dumbest defensible way (subset enumeration,
 permutation search, naive recursion, exponent-by-exponent monomial
 arithmetic) so that the tested code paths and the oracles cannot share a
-bug.  The one exception is ``are_isomorphic``, a test helper that compares
-the package's own canonical forms.
+bug.  The exceptions are ``are_isomorphic``, a test helper that compares
+the package's own canonical forms, and ``colored_canonical_form``, which
+extends them to vertex colorings with the package's permutation search.
 """
 
 from __future__ import annotations
@@ -13,7 +14,14 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Sequence
 
-from symcover.enumeration import EdgeSet, canonical_form
+from symcover._bitgraph import bits
+from symcover.enumeration import (
+    EdgeSet,
+    _class_respecting_permutations,
+    _pair_index,
+    _rows,
+    canonical_form,
+)
 from symcover.graphs import Graph
 from symcover.ideals import IdealError, Monomial, MonomialIdeal
 
@@ -35,6 +43,35 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     if g.vertex_count != h.vertex_count or g.edge_count != h.edge_count:
         return False
     return canonical_form(*_as_indexed(g)) == canonical_form(*_as_indexed(h))
+
+
+def colored_canonical_form(n: int, edges: EdgeSet, colors: Sequence[int]) -> tuple:
+    """A label-independent key for a graph on 0..n-1 with vertex colors.
+
+    Two colored graphs get the same key iff an isomorphism maps colors to
+    equal colors; so on one graph, two vertex sets S get the same key iff
+    an automorphism maps one onto the other.
+    """
+    rows = _rows(n, edges)
+    sig: list[tuple] = [(colors[v], rows[v].bit_count()) for v in range(n)]
+    for _ in range(2):
+        sig = [(*sig[v], tuple(sorted(sig[w] for w in bits(rows[v])))) for v in range(n)]
+    by_sig: dict[tuple, list[int]] = {}
+    for v in range(n):
+        by_sig.setdefault(sig[v], []).append(v)
+    pair_index = _pair_index(n)
+    best: tuple | None = None
+    for perm in _class_respecting_permutations([by_sig[key] for key in sorted(by_sig)]):
+        mask = 0
+        for i, j in edges:
+            mask |= 1 << pair_index[(min(perm[i], perm[j]), max(perm[i], perm[j]))]
+        mapped = [0] * n
+        for v in range(n):
+            mapped[perm[v]] = colors[v]
+        key = (mask, tuple(mapped))
+        if best is None or key > best:
+            best = key
+    return (n, *best)
 
 
 def _as_indexed(graph: Graph) -> tuple[int, EdgeSet]:

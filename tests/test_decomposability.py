@@ -93,7 +93,7 @@ def test_sheds_on_induced_subgraphs_matches_brute_oracle():
     rng = random.Random(109)
     for _ in range(200):
         g = random_graph(rng, rng.randint(1, 9), p=rng.random())
-        engine = DecompositionEngine(g)
+        engine = DecompositionEngine(g.adjacency_masks())
         for mask in (g.full_mask(), *(rng.getrandbits(g.vertex_count) for _ in range(3))):
             sub = g.induced_subgraph(g.names_of(mask))
             for name in sub.vertex_names:
@@ -104,7 +104,7 @@ def test_sheds_on_induced_subgraphs_matches_brute_oracle():
 def test_sheds_edge_cases():
     # v isolated inside the mask, though not in the whole graph
     g = build_graph(["v", "a", "b"], [("v", "a"), ("a", "b")])
-    engine = DecompositionEngine(g)
+    engine = DecompositionEngine(g.adjacency_masks())
     assert not engine.sheds(g.mask_of(["v", "b"]), g.index_of("v"))
     # G - N[v] empty: every neighbor is dominated by v
     star = build_graph(["v", "a", "b"], [("v", "a"), ("v", "b")])
@@ -325,9 +325,19 @@ def test_order_from_certificate_rejects_foreign_certificate():
         linear_order_from_certificate(c4(), cert)
 
 
+def test_engine_without_names_gives_verdicts_but_no_certificates():
+    g = whiskered_fish()
+    engine = DecompositionEngine(g.adjacency_masks())
+    assert engine.is_vd()
+    with pytest.raises(GraphError):
+        engine.certificate()
+    named = DecompositionEngine(g.adjacency_masks(), g.vertex_names)
+    assert named.certificate() == is_vertex_decomposable(g)
+
+
 def test_engine_reuses_memo_across_queries():
     wf = whiskered_fish()
-    engine = DecompositionEngine(wf)
+    engine = DecompositionEngine(wf.adjacency_masks(), wf.vertex_names)
     assert engine.is_vd()
     full = wf.full_mask()
     for v in wf.vertex_names:

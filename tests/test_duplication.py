@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
@@ -8,6 +9,7 @@ from symcover.duplication import (
     DuplicationTuple,
     duplicate_edges,
     duplicate_vertices,
+    duplicated_edge_rows,
     expand_edge,
     satisfies_whisker_dominance,
     shadows_of,
@@ -15,7 +17,7 @@ from symcover.duplication import (
 from symcover.graphs import GraphError, add_whiskers, build_graph
 from symcover.ideals import cover_ideal
 
-from conftest import c4, single_edge
+from conftest import c4, cycle, fish, single_edge
 from oracles import are_isomorphic
 
 
@@ -99,6 +101,23 @@ def test_shadow_identification_across_edges():
     g = build_graph(["x1", "x2", "x3"], [("x1", "x2"), ("x2", "x3")])
     dup = duplicate_edges(g, (1, 2))
     assert dup.vertex_names == ("x1.1", "x2.1", "x2.2", "x3.1", "x3.2")
+
+
+def test_edge_duplication_rows_match_named_graphs():
+    for base in (cycle(3), c4(), fish()):
+        h = add_whiskers(base, base.minimum_cycle_cover()).graph
+        edges = [(h.index_of(u), h.index_of(v)) for u, v in h.edges]
+        for t in product((1, 2, 3), repeat=h.edge_count):
+            assert duplicated_edge_rows(h.vertex_count, edges, t) == (
+                duplicate_edges(h, t).adjacency_masks()
+            ), (base.edges, t)
+
+
+def test_edge_duplication_rows_with_zero_entries():
+    g = build_graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
+    edges = [(0, 1), (1, 2), (2, 3)]
+    for t in product((0, 1, 2), repeat=3):
+        assert duplicated_edge_rows(4, edges, t) == duplicate_edges(g, t).adjacency_masks()
 
 
 # -- duplicate_vertices ------------------------------------------------------------

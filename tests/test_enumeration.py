@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import random
+from itertools import permutations
 
 from symcover.enumeration import (
+    _rows,
     as_graph,
+    automorphisms,
     canonical_form,
     connected_graphs_up_to_isomorphism,
     graphs_up_to_isomorphism,
@@ -11,7 +14,7 @@ from symcover.enumeration import (
 from symcover.graphs import build_graph
 
 from conftest import c4, cycle, fish
-from oracles import are_isomorphic
+from oracles import are_isomorphic, colored_canonical_form
 
 
 def test_known_class_counts():
@@ -24,6 +27,37 @@ def test_known_connected_counts():
     assert [len(connected_graphs_up_to_isomorphism(n)) for n in range(1, 7)] == [
         1, 1, 2, 6, 21, 112,
     ]
+
+
+def test_levels_are_built_once_and_immutable():
+    level = graphs_up_to_isomorphism(5)
+    assert isinstance(level, tuple)
+    assert graphs_up_to_isomorphism(5) is level
+    assert isinstance(connected_graphs_up_to_isomorphism(5), tuple)
+
+
+def test_automorphism_group_orders():
+    def order(n, edges):
+        return len(automorphisms(_rows(n, frozenset(edges))))
+
+    assert order(4, [(0, 1), (1, 2), (2, 3), (0, 3)]) == 8  # C4: dihedral
+    assert order(4, [(0, 1), (1, 2), (2, 3)]) == 2  # P4
+    assert order(4, [(0, 1), (0, 2), (0, 3)]) == 6  # star
+    assert order(5, []) == 120
+    assert order(5, [(i, j) for i in range(5) for j in range(i + 1, 5)]) == 120
+    # fish: 4-cycle 0123 with triangle 0, 4, 5; swaps 1<->3 and 4<->5
+    assert order(6, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (0, 5), (4, 5)]) == 4
+    assert automorphisms(_rows(3, frozenset({(0, 1), (1, 2)})))[0] == (0, 1, 2)
+
+
+def test_automorphisms_match_permutation_search():
+    for n in range(1, 7):
+        for edges in graphs_up_to_isomorphism(n):
+            brute = [
+                sigma for sigma in permutations(range(n))
+                if {(min(sigma[i], sigma[j]), max(sigma[i], sigma[j])) for i, j in edges} == edges
+            ]
+            assert sorted(automorphisms(_rows(n, edges))) == brute, sorted(edges)
 
 
 def test_canonical_form_invariant_under_relabeling():
@@ -51,10 +85,10 @@ def test_canonical_form_separates_nonisomorphic():
 
 def test_colored_forms_distinguish_subsets():
     edges = frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})
-    center = canonical_form(4, edges, [1, 0, 0, 0])
-    pair_adjacent = canonical_form(4, edges, [1, 1, 0, 0])
-    pair_opposite = canonical_form(4, edges, [1, 0, 1, 0])
-    rotated = canonical_form(4, edges, [0, 1, 0, 1])
+    center = colored_canonical_form(4, edges, [1, 0, 0, 0])
+    pair_adjacent = colored_canonical_form(4, edges, [1, 1, 0, 0])
+    pair_opposite = colored_canonical_form(4, edges, [1, 0, 1, 0])
+    rotated = colored_canonical_form(4, edges, [0, 1, 0, 1])
     assert pair_adjacent != pair_opposite
     assert pair_opposite == rotated
     assert center != pair_adjacent

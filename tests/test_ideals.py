@@ -182,6 +182,17 @@ def test_symbolic_power_with_isolated_vertex_and_dotted_names():
     )
 
 
+def test_many_isolated_vertices_do_not_hit_the_recursion_limit():
+    # isolated vertices and their shadows lie in every maximal independent
+    # set, so each set holds hundreds of vertices
+    isolated = [f"z{i}" for i in range(250)]
+    g = build_graph(["a", "b", *isolated], [("a", "b")])
+    assert len(symbolic_power(g, 4).generators) == 5
+    isolated = [f"z{i}" for i in range(1000)]
+    g = build_graph(["a", "b", *isolated], [("a", "b")])
+    assert cover_ideal(g).generators == (parse_monomial("a"), parse_monomial("b"))
+
+
 def test_membership_agrees_with_generators():
     g = p3()
     ideal = symbolic_power(g, 2)

@@ -1,11 +1,21 @@
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
+from itertools import combinations
 
 import pytest
 
-from symcover.graphs import GraphError, StarCompleteSpec, build_graph
+from symcover.cli import main
+from symcover.decomposability import DecompositionEngine, vertex_decomposable
+from symcover.duplication import duplicate_vertices
+from symcover.enumeration import as_graph, connected_graphs_up_to_isomorphism
+from symcover.graphs import GraphError, StarCompleteSpec, add_whiskers, build_graph
 from symcover.scenarios import (
+    _orbit_minimal_non_covers,
+    _whiskered_shadow_mask,
     counterexample_search,
     verify_edge_theorem,
     verify_glue_star,
@@ -14,7 +24,7 @@ from symcover.scenarios import (
 )
 
 from conftest import c4, fish, five_vertex_example
-from oracles import are_isomorphic
+from oracles import are_isomorphic, colored_canonical_form
 
 
 def step(report, name):
@@ -225,6 +235,55 @@ def test_search_mode_ii_reports_the_boundary_tuple():
             assert r.steps[0].observed == "no"
             found = True
     assert found
+
+
+def test_orbit_minimal_sets_match_colored_canonical_forms():
+    # the sets the search used to keep: the first S in enumeration order
+    # for each colored canonical form of (G, S)
+    for n in range(1, 7):
+        for edges in connected_graphs_up_to_isomorphism(n):
+            g = as_graph(n, edges)
+            seen = set()
+            expected = []
+            for size in range(n + 1):
+                for combo in combinations(range(n), size):
+                    if g.is_cycle_cover([g.vertex_names[i] for i in combo]):
+                        continue
+                    key = colored_canonical_form(n, edges, [int(i in combo) for i in range(n)])
+                    if key not in seen:
+                        seen.add(key)
+                        expected.append(combo)
+            assert list(_orbit_minimal_non_covers(g.adjacency_masks())) == expected, (
+                n, sorted(edges))
+
+
+def test_shared_engine_masks_match_whiskered_duplications():
+    # whiskering at S and duplicating k times is an induced subgraph of the
+    # duplicated graph whiskered at every vertex, so one engine answers all S
+    for n in range(1, 6):
+        for edges in connected_graphs_up_to_isomorphism(n):
+            g = as_graph(n, edges)
+            everywhere = add_whiskers(g, g.vertex_names).graph
+            for k in (1, 2, 3):
+                engine = DecompositionEngine(duplicate_vertices(everywhere, k).adjacency_masks())
+                for size in range(n + 1):
+                    for combo in combinations(range(n), size):
+                        names = [g.vertex_names[i] for i in combo]
+                        expected = vertex_decomposable(
+                            duplicate_vertices(add_whiskers(g, names).graph, k)
+                        )
+                        got = engine.is_vd_mask(_whiskered_shadow_mask(n, combo, k))
+                        assert got == expected, (sorted(edges), names, k)
+
+
+def test_search_mode_ii_output_is_pinned():
+    # sha256 of the stdout of this command, taken before the search ran on
+    # adjacency rows
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["search", "--max-vertices", "4", "--max-k", "3", "--mode", "ii"])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:12] == "159751323ee7"
 
 
 def test_reports_render_deterministically():
