@@ -16,7 +16,7 @@ import json
 import sys
 from typing import Sequence
 
-from .decomposability import is_vertex_decomposable, render_certificate
+from .decomposability import is_vertex_decomposable, render_certificate, vertex_decomposable
 from .duplication import DuplicationTuple
 from .graphs import GraphError, StarCompleteSpec, add_whiskers, load_graph
 from .ideals import (
@@ -139,8 +139,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_check_vd(args: argparse.Namespace) -> int:
     graph = load_graph(args.graph)
-    cert = is_vertex_decomposable(graph)
-    verdict = cert is not None
+    if args.certificate:
+        cert = is_vertex_decomposable(graph)
+        verdict = cert is not None
+    else:  # the verdict alone never builds the certificate tree
+        verdict = vertex_decomposable(graph)
     if args.format == "json":
         doc = {"vertex_decomposable": verdict}
         if verdict and args.certificate:

@@ -240,10 +240,17 @@ def symbolic_power(graph: Graph, k: int) -> MonomialIdeal:
     """
     if k < 1:
         raise IdealError(f"symbolic power exponent must be >= 1, got {k}")
+    return _symbolic_power_of(graph, k, duplicate_vertices(graph, k))
+
+
+def _symbolic_power_of(graph: Graph, k: int, dup: Graph) -> MonomialIdeal:
+    """``symbolic_power(graph, k)`` read off ``dup = duplicate_vertices(graph, k)``.
+
+    For callers that already hold G_k, so it is built once.
+    """
     names = graph.vertex_names
     if graph.edge_count == 0:
         return MonomialIdeal.whole(names)
-    dup = duplicate_vertices(graph, k)
     block = (1 << k) - 1
     gens = [
         Monomial.of({v: k - (mis >> i * k & block).bit_count() for i, v in enumerate(names)})

@@ -18,7 +18,11 @@ whiskered at every vertex.  So one decomposability engine per base graph
 and k answers every S and shares its memo across them.  S is tried once per
 orbit of Aut(G), as the orbit's lexicographically smallest set.  Mode ii
 builds the rows of each edge duplication straight from the whiskered
-graph's edge index pairs.
+graph's edge index pairs, and decides each orbit of tuples under Aut(h),
+h the whiskered graph, once: an automorphism of h carries one tuple's
+duplication onto the other's.  Whisker dominance is not Aut(h)-invariant
+(an automorphism may swap a whisker with a leaf of G), so it is still
+checked tuple by tuple.
 """
 
 from __future__ import annotations
@@ -42,7 +46,12 @@ from .duplication import (
     satisfies_whisker_dominance,
     shadows_of,
 )
-from .enumeration import as_graph, automorphisms, connected_graphs_up_to_isomorphism
+from .enumeration import (
+    as_graph,
+    automorphisms,
+    connected_graphs_up_to_isomorphism,
+    edge_permutation,
+)
 from .graphs import (
     Graph,
     GraphError,
@@ -52,7 +61,7 @@ from .graphs import (
     glue_along_edge,
     render_graph_text,
 )
-from .ideals import has_linear_quotients, symbolic_power
+from .ideals import _symbolic_power_of, has_linear_quotients
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +202,11 @@ def verify_main_theorem(
 
     h = whiskered.graph
     for k in range(1, k_max + 1):
-        verdict = vertex_decomposable(duplicate_vertices(h, k))
+        dup = duplicate_vertices(h, k)
+        verdict = vertex_decomposable(dup)
         report.check(f"vertex-decomposable k={k}", _yesno(verdict), asserting)
         if k <= lq_k_max:
-            ideal = symbolic_power(h, k)
+            ideal = _symbolic_power_of(h, k, dup)
             name = f"linear-quotients k={k}"
             if ideal.is_whole_ring:
                 report.observe(name, "whole ring (no generators)")
@@ -415,7 +425,10 @@ def counterexample_search(max_vertices: int, max_k: int, mode: str) -> Iterator[
 
     mode "ii": whisker at the minimum cycle cover and enumerate duplication
     tuples with entries in 1..max_k that are NOT whisker-dominant; every
-    such tuple is reported with its vertex-decomposability verdict.
+    such tuple is reported with its vertex-decomposability verdict.  Tuples
+    that an automorphism of the whiskered graph maps onto each other give
+    isomorphic duplications, so the first of them in enumeration order is
+    decided and the rest reuse its verdict.
 
     Scenario ids encode the enumeration position, so output sorted by id
     equals enumeration order.
@@ -547,11 +560,19 @@ def _search_tuple_violations(max_vertices: int, max_k: int) -> Iterator[Scenario
                 continue
             rules = dominance_rules(whiskered)
             pairs = [(h.index_of(u), h.index_of(v)) for u, v in h.edges]
+            orders = _tuple_image_orders(h.adjacency_masks(), pairs)
+            shared: dict[tuple[int, ...], bool] = {}  # verdicts of images not reached yet
             for entries in product(range(1, max_k + 1), repeat=m):
                 if dominates(rules, entries):
                     continue
-                rows = duplicated_edge_rows(h.vertex_count, pairs, entries)
-                verdict = DecompositionEngine(rows).is_vd()
+                verdict = shared.pop(entries, None)
+                if verdict is None:  # the first tuple of its Aut(h) orbit
+                    rows = duplicated_edge_rows(h.vertex_count, pairs, entries)
+                    verdict = DecompositionEngine(rows).is_vd()
+                    for order in orders:
+                        image = tuple(map(entries.__getitem__, order))
+                        if image > entries and not dominates(rules, image):
+                            shared[image] = verdict
                 t = DuplicationTuple(entries).render()
                 report = ScenarioReport(
                     scenario=f"{base}/t={t}",
@@ -562,3 +583,23 @@ def _search_tuple_violations(max_vertices: int, max_k: int) -> Iterator[Scenario
                 if verdict:
                     report.flag("edge case: decomposability survived a non-dominant tuple")
                 yield report
+
+
+def _tuple_image_orders(
+    rows: Sequence[int], pairs: Sequence[tuple[int, int]]
+) -> list[list[int]]:
+    """How Aut(h) moves duplication tuples: one gather order per automorphism.
+
+    An automorphism sigma of h carries the duplication of h by t onto the
+    duplication by sigma.t, where (sigma.t)[sigma(e)] = t[e], through
+    x.p -> sigma(x).p: the shadow-edge rule is symmetric in an edge's two
+    ends.  So sigma.t is ``tuple(t[i] for i in order)`` with
+    order[sigma(e)] = e.  The identity is left out.
+    """
+    orders = []
+    for sigma in automorphisms(rows)[1:]:
+        order = [0] * len(pairs)
+        for e, image in enumerate(edge_permutation(sigma, pairs)):
+            order[image] = e
+        orders.append(order)
+    return orders

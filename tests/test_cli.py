@@ -43,6 +43,24 @@ def test_check_vd_no(capsys, c4_path):
     assert out.strip() == "vertex decomposable: no"
 
 
+def test_check_vd_without_certificate_skips_it(capsys, tmp_path, monkeypatch):
+    # the certificate cache is keyed on whole masks, so building one for a
+    # long path takes exponential time; the verdict alone is instant
+    def refuse(graph):
+        raise AssertionError("check-vd built a certificate it does not print")
+
+    monkeypatch.setattr("symcover.cli.is_vertex_decomposable", refuse)
+    names = [f"p{i}" for i in range(200)]
+    path = tmp_path / "p200.graph"
+    save_graph(build_graph(names, list(zip(names, names[1:]))), str(path))
+    code, out, _ = run(capsys, "check-vd", str(path))
+    assert code == 0
+    assert out == "vertex decomposable: yes\n"
+    code, out, _ = run(capsys, "check-vd", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"vertex_decomposable": True}
+
+
 def test_cover_ideal_output(capsys, c4_path):
     code, out, _ = run(capsys, "cover-ideal", c4_path)
     assert code == 0

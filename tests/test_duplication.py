@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from symcover._bitgraph import bits
 from symcover.duplication import (
     DuplicationTuple,
     duplicate_edges,
@@ -14,6 +15,7 @@ from symcover.duplication import (
     satisfies_whisker_dominance,
     shadows_of,
 )
+from symcover.enumeration import automorphisms, edge_permutation
 from symcover.graphs import GraphError, add_whiskers, build_graph
 from symcover.ideals import cover_ideal
 
@@ -111,6 +113,46 @@ def test_edge_duplication_rows_match_named_graphs():
             assert duplicated_edge_rows(h.vertex_count, edges, t) == (
                 duplicate_edges(h, t).adjacency_masks()
             ), (base.edges, t)
+
+
+def shadow_positions(vertex_count, edges, t):
+    """Row index of each shadow (x, p) in ``duplicated_edge_rows``."""
+    copies = [0] * vertex_count
+    for (i, j), r in zip(edges, t):
+        copies[i] = max(copies[i], r)
+        copies[j] = max(copies[j], r)
+    slots = [(x, p) for x in range(vertex_count) for p in range(1, copies[x] + 1)]
+    return {slot: row for row, slot in enumerate(slots)}
+
+
+def test_automorphisms_carry_edge_duplications_onto_each_other():
+    # x.p -> sigma(x).p maps the duplication by t onto the duplication by
+    # sigma.t, where (sigma.t)[sigma(e)] = t[e]; the paw whiskered at its
+    # degree-3 vertex has an automorphism swapping its own leaf and a whisker
+    paw = build_graph(["x1", "x2", "x3", "x4"],
+                      [("x1", "x2"), ("x1", "x3"), ("x2", "x3"), ("x1", "x4")])
+    cases = [(c4(), c4().minimum_cycle_cover()), (fish(), fish().minimum_cycle_cover()),
+             (paw, ["x1"])]
+    for base, cover in cases:
+        h = add_whiskers(base, cover).graph
+        edges = [(h.index_of(u), h.index_of(v)) for u, v in h.edges]
+        group = automorphisms(h.adjacency_masks())
+        assert len(group) > 1, base.edges
+        for sigma in group:
+            perm = edge_permutation(sigma, edges)
+            for t in product((1, 2, 3), repeat=len(edges)):
+                image = [0] * len(t)
+                for e, r in enumerate(t):
+                    image[perm[e]] = r
+                source = shadow_positions(h.vertex_count, edges, t)
+                target = shadow_positions(h.vertex_count, edges, image)
+                to = {row: target[(sigma[x], p)] for (x, p), row in source.items()}
+                rows = duplicated_edge_rows(h.vertex_count, edges, t)
+                mapped = [0] * len(rows)
+                for a, row in enumerate(rows):
+                    mapped[to[a]] = sum(1 << to[b] for b in bits(row))
+                assert mapped == duplicated_edge_rows(h.vertex_count, edges, image), (
+                    base.edges, sigma, t)
 
 
 def test_edge_duplication_rows_with_zero_entries():

@@ -10,7 +10,7 @@ import pytest
 
 from symcover.cli import main
 from symcover.decomposability import DecompositionEngine, vertex_decomposable
-from symcover.duplication import duplicate_vertices
+from symcover.duplication import duplicate_vertices, duplicated_edge_rows
 from symcover.enumeration import as_graph, connected_graphs_up_to_isomorphism
 from symcover.graphs import GraphError, StarCompleteSpec, add_whiskers, build_graph
 from symcover.scenarios import (
@@ -276,14 +276,66 @@ def test_shared_engine_masks_match_whiskered_duplications():
                         assert got == expected, (sorted(edges), names, k)
 
 
+def search_digest(*argv):
+    """sha256 prefix of the stdout of ``symcover search`` with these options."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["search", *argv])
+    assert code == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()[:12]
+
+
 def test_search_mode_ii_output_is_pinned():
     # sha256 of the stdout of this command, taken before the search ran on
     # adjacency rows
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(["search", "--max-vertices", "4", "--max-k", "3", "--mode", "ii"])
-    assert code == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:12] == "159751323ee7"
+    assert search_digest("--max-vertices", "4", "--max-k", "3", "--mode", "ii") == "159751323ee7"
+
+
+def test_search_mode_ii_output_is_pinned_at_five_vertices():
+    # taken before the search shared verdicts across Aut(h) orbits
+    assert search_digest("--max-vertices", "5", "--max-k", "2", "--mode", "ii") == "1f5a88bb4bcf"
+
+
+@pytest.mark.parametrize("max_vertices, max_k, reports", [(5, 2, 11408), (4, 3, 5901)])
+def test_search_mode_ii_verdicts_match_cold_engines(max_vertices, max_k, reports):
+    # a verdict shared from an earlier tuple of the same Aut(h) orbit must
+    # equal a cold engine run on the tuple's own duplication
+    levels = {n: connected_graphs_up_to_isomorphism(n) for n in range(1, max_vertices + 1)}
+    built = {}
+    checked = 0
+    for r in counterexample_search(max_vertices, max_k, "ii"):
+        if "tuple" not in r.inputs:
+            continue
+        _, n_part, g_part, _ = r.scenario.split("/")
+        key = (int(n_part[1:]), int(g_part[1:]))
+        if key not in built:
+            g = as_graph(key[0], levels[key[0]][key[1]])
+            h = add_whiskers(g, r.inputs["S"].split("+")).graph
+            built[key] = (h.vertex_count, [(h.index_of(u), h.index_of(v)) for u, v in h.edges])
+        vertex_count, pairs = built[key]
+        entries = [int(x) for x in r.inputs["tuple"].split(",")]
+        cold = DecompositionEngine(duplicated_edge_rows(vertex_count, pairs, entries)).is_vd()
+        assert step(r, "vertex-decomposable").observed == ("yes" if cold else "no"), r.scenario
+        checked += 1
+    assert checked == reports
+
+
+def test_verify_main_builds_each_duplication_once(monkeypatch):
+    # the decomposability check and the symbolic power share one G_k
+    import symcover.ideals
+    import symcover.scenarios
+
+    built = []
+
+    def counting(graph, k):
+        built.append(k)
+        return duplicate_vertices(graph, k)
+
+    monkeypatch.setattr(symcover.scenarios, "duplicate_vertices", counting)
+    monkeypatch.setattr(symcover.ideals, "duplicate_vertices", counting)
+    report = verify_main_theorem(five_vertex_example(), ["x2"], 1, k_max=2)
+    assert report.overall_pass
+    assert built == [1, 2]
 
 
 def test_reports_render_deterministically():
