@@ -18,14 +18,6 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def has_edge_within(adj: Sequence[int], mask: int) -> bool:
-    """True if the induced subgraph on ``mask`` contains at least one edge."""
-    for v in bits(mask):
-        if adj[v] & mask:
-            return True
-    return False
-
-
 def isolated_stripped(adj: Sequence[int], mask: int) -> int:
     """Submask of ``mask`` keeping only vertices with a neighbor in ``mask``."""
     kept = 0

@@ -74,7 +74,7 @@ def _emit_report(report: ScenarioReport, fmt: str) -> None:
 
 
 def _emit_reports(reports: list[ScenarioReport], fmt: str) -> None:
-    reports = sorted(reports, key=lambda r: r.scenario)
+    """Print the reports in the order given, which for a search is enumeration order."""
     if fmt == "json":
         print(json.dumps([r.to_json_dict() for r in reports], indent=2, sort_keys=True))
     else:

@@ -87,7 +87,7 @@ def validate_certificate(graph: Graph, cert: DecompositionCertificate) -> bool:
         if isinstance(node, CertificateLeaf):
             return (
                 frozenset(node.vertices) == frozenset(graph.names_of(mask))
-                and not _bitgraph.has_edge_within(engine._adj, mask)
+                and not _bitgraph.isolated_stripped(engine._adj, mask)
             )
         if not graph.has_vertex(node.shedding):
             return False
@@ -240,17 +240,14 @@ class DecompositionEngine:
         cached = self._cert_cache.get(mask)
         if cached is not None:
             return cached
-        if not _bitgraph.has_edge_within(self._adj, mask):
+        core = _bitgraph.isolated_stripped(self._adj, mask)
+        if not core:
             cert: DecompositionCertificate = CertificateLeaf(
                 tuple(self._names[i] for i in _bitgraph.bits(mask))
             )
         else:
-            core = _bitgraph.isolated_stripped(self._adj, mask)
-            comp = next(
-                c for c in _bitgraph.components(self._adj, core)
-                if _bitgraph.has_edge_within(self._adj, c)
-            )
-            v = self._choice[comp]
+            # every component of the stripped core has an edge
+            v = self._choice[_bitgraph.components(self._adj, core)[0]]
             deletion = self.certificate_for_mask(mask & ~(1 << v))
             link = self.certificate_for_mask(mask & ~self._closed(v))
             assert deletion is not None and link is not None

@@ -15,7 +15,7 @@ automorphism to the edge positions it permutes.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations, product
 from typing import Iterator, Sequence
 
 from ._bitgraph import bits, components
@@ -56,25 +56,13 @@ def _class_respecting_permutations(classes: list[list[int]]) -> Iterator[tuple[i
     """All relabelings sending the i-th invariant class to the i-th block of
     positions; only within-class arrangements vary.  The block layout depends
     only on the (sorted) class signatures, so isomorphic graphs search the
-    same target space.
+    same target space.  The last class varies fastest.
     """
-    total = sum(len(cls) for cls in classes)
-    offsets = []
-    base = 0
-    for cls in classes:
-        offsets.append(base)
-        base += len(cls)
-
-    def rec(i: int, mapping: list[int]) -> Iterator[tuple[int, ...]]:
-        if i == len(classes):
-            yield tuple(mapping)
-            return
-        for arrangement in permutations(classes[i]):
-            for off, v in enumerate(arrangement):
-                mapping[v] = offsets[i] + off
-            yield from rec(i + 1, mapping)
-
-    yield from rec(0, [0] * total)
+    mapping = [0] * sum(len(cls) for cls in classes)
+    for arrangement in product(*(permutations(cls) for cls in classes)):
+        for position, v in enumerate(chain.from_iterable(arrangement)):
+            mapping[v] = position
+        yield tuple(mapping)
 
 
 def canonical_form(n: int, edges: EdgeSet) -> tuple:
@@ -160,7 +148,7 @@ def connected_graphs_up_to_isomorphism(n: int) -> tuple[EdgeSet, ...]:
     return tuple(e for e in graphs_up_to_isomorphism(n) if _is_connected(n, e))
 
 
-def as_graph(n: int, edges: EdgeSet, prefix: str = "x") -> Graph:
+def as_graph(n: int, edges: EdgeSet) -> Graph:
     """Materialize an indexed edge set as a named graph x1..xn."""
-    names = [f"{prefix}{i + 1}" for i in range(n)]
+    names = [f"x{i + 1}" for i in range(n)]
     return build_graph(names, sorted((names[i], names[j]) for i, j in edges))

@@ -270,33 +270,17 @@ def fresh_names(existing: Iterable[str], count: int, fallback_stem: str) -> list
     ``fallback_stem``.
     """
     taken = set(existing)
-    stems = set()
-    top = 0
-    for name in taken:
-        m = _NUMBERED.match(name)
-        if not m:
-            stems = set()
-            break
-        stems.add(m.group(1))
-        top = max(top, int(m.group(2)))
+    numbered = [_NUMBERED.match(name) for name in taken]
+    if taken and all(numbered) and len({m.group(1) for m in numbered}) == 1:
+        stem, nxt = numbered[0].group(1), 1 + max(int(m.group(2)) for m in numbered)
+    else:
+        stem, nxt = fallback_stem, 1
     out: list[str] = []
-    if len(stems) == 1 and taken:
-        stem = next(iter(stems))
-        nxt = top + 1
-        while len(out) < count:
-            cand = f"{stem}{nxt}"
-            nxt += 1
-            if cand not in taken:
-                out.append(cand)
-                taken.add(cand)
-        return out
-    nxt = 1
     while len(out) < count:
-        cand = f"{fallback_stem}{nxt}"
+        cand = f"{stem}{nxt}"
         nxt += 1
         if cand not in taken:
             out.append(cand)
-            taken.add(cand)
     return out
 
 
@@ -536,9 +520,13 @@ def graph_from_json_dict(doc: Mapping) -> Graph:
     try:
         vertices = [str(v) for v in doc["vertices"]]
         edges = [(str(u), str(v)) for u, v in doc["edges"]]
-        leaf_support = {str(w["leaf"]): str(w["support"]) for w in doc.get("whiskers") or []}
+        whiskers = [(str(w["leaf"]), str(w["support"])) for w in doc.get("whiskers") or []]
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed graph document: {exc}") from exc
+    leaf_support: dict[str, str] = {}
+    for leaf, support in whiskers:
+        if leaf_support.setdefault(leaf, support) != support:
+            raise GraphError(f"whisker leaf {leaf!r} is listed with two supports")
     graph = build_graph(vertices, edges)
     for leaf, support in leaf_support.items():
         for role, name in (("leaf", leaf), ("support", support)):
@@ -546,6 +534,8 @@ def graph_from_json_dict(doc: Mapping) -> Graph:
                 raise GraphError(f"whisker {role} {name!r} is not a vertex")
         if not graph.has_edge(leaf, support):
             raise GraphError(f"whisker leaf {leaf!r} is not adjacent to its support {support!r}")
+        if graph.degree(leaf) != 1:
+            raise GraphError(f"whisker leaf {leaf!r} must have degree 1")
     if leaf_support:
         rebuilt: list[Vertex | str] = []
         seen: dict[str, int] = {}

@@ -1,12 +1,13 @@
 """Monomial ideals attached to graphs: cover ideals, symbolic powers,
 polarization, and the linear-quotients test.
 
-Both graph ideals are read off maximal independent sets.  The cover ideal
-J(G) takes one generator per minimal vertex cover of G, the complement of a
-maximal independent set.  The symbolic power J(G)^(k) polarizes to the cover
-ideal J(G_k) of the k-fold vertex duplication (Seyed Fakhari, Proc. AMS
-2018), so its generators are those of J(G_k) with the shadows x_v.1 ...
-x_v.a merged back into x_v^a.
+Both graph ideals come from one rule.  The symbolic power J(G)^(k)
+polarizes to the cover ideal J(G_k) of the k-fold vertex duplication (Seyed
+Fakhari, Proc. AMS 2018), so its generators are read off the maximal
+independent sets of G_k, with the shadows x_v.1 ... x_v.a merged back into
+x_v^a.  The cover ideal J(G) is the case k = 1: G_1 has G's adjacency rows,
+and each generator is the product over a minimal vertex cover of G, the
+complement of a maximal independent set.
 
 Monomials are exponent maps over named variables; ideals always store their
 unique minimal generating set, canonically sorted by (degree, then
@@ -218,14 +219,11 @@ class MonomialIdeal:
 def cover_ideal(graph: Graph) -> MonomialIdeal:
     """Ideal generated by the products over the minimal vertex covers.
 
-    An edgeless graph has the empty cover, so the result degenerates to the
-    whole ring; the marker keeps that case explicit.
+    This is J(G)^(1), read off G itself, which is its own G_1.  An edgeless
+    graph has the empty cover, so the result degenerates to the whole ring;
+    the marker keeps that case explicit.
     """
-    variables = graph.vertex_names
-    if graph.edge_count == 0:
-        return MonomialIdeal.whole(variables)
-    gens = [Monomial.of({v: 1 for v in cover}) for cover in graph.minimal_vertex_covers()]
-    return MonomialIdeal(variables, gens)
+    return _symbolic_power_of(graph, 1, graph)
 
 
 def symbolic_power(graph: Graph, k: int) -> MonomialIdeal:
@@ -246,7 +244,8 @@ def symbolic_power(graph: Graph, k: int) -> MonomialIdeal:
 def _symbolic_power_of(graph: Graph, k: int, dup: Graph) -> MonomialIdeal:
     """``symbolic_power(graph, k)`` read off ``dup = duplicate_vertices(graph, k)``.
 
-    For callers that already hold G_k, so it is built once.
+    For callers that already hold G_k, so it is built once; at k = 1 that is
+    the graph itself.
     """
     names = graph.vertex_names
     if graph.edge_count == 0:

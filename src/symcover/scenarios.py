@@ -8,7 +8,8 @@ running in exploration mode and records what it observed, because the
 interesting counterexamples are exactly the hypothesis-violating runs.
 
 Reports render deterministically; wall-clock duration is kept on the object
-but never rendered, so identical inputs give byte-identical output.
+but never rendered, so identical inputs give byte-identical output.  The
+CLI prints a search's reports in enumeration order, as they are yielded.
 
 The counterexample search runs on adjacency rows and vertex masks; named
 graphs appear only in its reports.  Mode i rests on an induced-subgraph
@@ -160,10 +161,43 @@ def _edge_list(graph: Graph) -> str:
 # ---------------------------------------------------------------------------
 # theorem verifiers
 
+_LQ_K_MAX = 2              # verify main tests linear quotients for k up to this
+_LQ_GENERATOR_CAP = 200    # and skips ideals with more generators than this
+
+
 def _require_k(k_max: int) -> None:
     # with no k to test, a verifier would pass without checking decomposability
     if k_max < 1:
         raise GraphError(f"duplication bound k must be >= 1, got {k_max}")
+
+
+def _whiskering_report(
+    kind: str, graph: Graph, cover: Sequence[str], id_tail: str, **inputs: str
+) -> tuple[ScenarioReport, bool]:
+    """A verifier's report with its cycle-cover step, and whether S is one.
+
+    The id and the inputs start with the graph and the set S; ``id_tail``
+    and ``inputs`` add what the verifier takes besides.
+    """
+    digest = graph_digest(graph)
+    s = "+".join(cover)
+    report = ScenarioReport(
+        scenario=f"verify-{kind}/{digest}/S={s or '-'}/{id_tail}",
+        inputs={"graph": digest, "edges": _edge_list(graph), "S": s or "(empty)", **inputs},
+    )
+    is_cover = graph.is_cycle_cover(cover)
+    report.check("cycle-cover", _yesno(is_cover), is_cover)
+    if not is_cover:
+        report.flag("hypothesis violated: S is not a cycle cover; exploring anyway")
+    return report, is_cover
+
+
+def _no_zero_multiplicity(report: ScenarioReport, *tuples: DuplicationTuple) -> bool:
+    """Flag a zero entry, which deletes its edge: no theorem here allows one."""
+    if any(0 in t for t in tuples):
+        report.flag("hypothesis violated: a duplication multiplicity is zero; exploring anyway")
+        return False
+    return True
 
 
 def verify_main_theorem(
@@ -171,48 +205,33 @@ def verify_main_theorem(
     cycle_cover: Sequence[str],
     counts: Mapping[str, int] | int = 1,
     k_max: int = 2,
-    lq_k_max: int = 2,
-    lq_generator_cap: int = 200,
 ) -> ScenarioReport:
     """Whisker at a claimed cycle cover, then duplicate and test.
 
     For each k up to ``k_max`` the k-fold vertex duplication of the
     whiskered graph must be vertex decomposable, and for k up to
-    ``lq_k_max`` the k-th symbolic power of its cover ideal must have
-    linear quotients (capped at ``lq_generator_cap`` generators).  When
+    ``_LQ_K_MAX`` the k-th symbolic power of its cover ideal must have
+    linear quotients (skipped above ``_LQ_GENERATOR_CAP`` generators).  When
     the given set is not a cycle cover the run downgrades to exploration.
     """
     _require_k(k_max)
     started = time.perf_counter()
     cover = sorted(set(cycle_cover), key=graph.index_of)
     whiskered = add_whiskers(graph, cover, counts)
-    report = ScenarioReport(
-        scenario=f"verify-main/{graph_digest(graph)}/S={'+'.join(cover) or '-'}/k={k_max}",
-        inputs={
-            "graph": graph_digest(graph),
-            "edges": _edge_list(graph),
-            "S": "+".join(cover) or "(empty)",
-            "k_max": str(k_max),
-        },
-    )
-    asserting = graph.is_cycle_cover(cover)
-    report.check("cycle-cover", _yesno(asserting), asserting)
-    if not asserting:
-        report.flag("hypothesis violated: S is not a cycle cover; exploring anyway")
-
+    report, asserting = _whiskering_report("main", graph, cover, f"k={k_max}", k_max=str(k_max))
     h = whiskered.graph
     for k in range(1, k_max + 1):
         dup = duplicate_vertices(h, k)
         verdict = vertex_decomposable(dup)
         report.check(f"vertex-decomposable k={k}", _yesno(verdict), asserting)
-        if k <= lq_k_max:
+        if k <= _LQ_K_MAX:
             ideal = _symbolic_power_of(h, k, dup)
             name = f"linear-quotients k={k}"
             if ideal.is_whole_ring:
                 report.observe(name, "whole ring (no generators)")
-            elif len(ideal.generators) > lq_generator_cap:
+            elif len(ideal.generators) > _LQ_GENERATOR_CAP:
                 report.observe(
-                    name, f"skipped ({len(ideal.generators)} generators > cap {lq_generator_cap})"
+                    name, f"skipped ({len(ideal.generators)} generators > cap {_LQ_GENERATOR_CAP})"
                 )
             else:
                 order = has_linear_quotients(ideal)
@@ -229,9 +248,9 @@ def verify_edge_theorem(
 ) -> ScenarioReport:
     """Whisker at a cycle cover, duplicate edges by a tuple, and test.
 
-    When the tuple is whisker-dominant and the set is a cycle cover, the
-    edge-duplicated graph is asserted vertex decomposable; otherwise the
-    verdict is recorded as an observation.
+    When the tuple is whisker-dominant with no zero entry and the set is a
+    cycle cover, the edge-duplicated graph is asserted vertex decomposable;
+    otherwise the verdict is recorded as an observation.
     """
     started = time.perf_counter()
     cover = sorted(set(cycle_cover), key=graph.index_of)
@@ -242,21 +261,9 @@ def verify_edge_theorem(
             f"tuple length {len(t)} does not match the "
             f"{whiskered.graph.edge_count} edges of the whiskered graph"
         )
-    report = ScenarioReport(
-        scenario=f"verify-edge/{graph_digest(graph)}/S={'+'.join(cover) or '-'}/t={t.render()}",
-        inputs={
-            "graph": graph_digest(graph),
-            "edges": _edge_list(graph),
-            "S": "+".join(cover) or "(empty)",
-            "tuple": t.render(),
-        },
-    )
-    is_cover = graph.is_cycle_cover(cover)
+    report, is_cover = _whiskering_report("edge", graph, cover, f"t={t.render()}", tuple=t.render())
     dominant = satisfies_whisker_dominance(whiskered, t)
-    asserting = is_cover and dominant
-    report.check("cycle-cover", _yesno(is_cover), is_cover)
-    if not is_cover:
-        report.flag("hypothesis violated: S is not a cycle cover; exploring anyway")
+    asserting = _no_zero_multiplicity(report, t) and is_cover and dominant
     report.check("whisker-dominance", _yesno(dominant), asserting)
     if not dominant:
         report.flag("hypothesis violated: tuple is not whisker-dominant; exploring anyway")
@@ -283,22 +290,10 @@ def verify_glue_star(
     started = time.perf_counter()
     cover = sorted(set(cycle_cover), key=graph.index_of)
     spec_text = ";".join(f"{s.attach_at}:{','.join(map(str, s.clique_sizes))}" for s in specs)
-    report = ScenarioReport(
-        scenario=f"verify-star/{graph_digest(graph)}/S={'+'.join(cover) or '-'}"
-        f"/spec={spec_text or '-'}/k={k_max}",
-        inputs={
-            "graph": graph_digest(graph),
-            "edges": _edge_list(graph),
-            "S": "+".join(cover) or "(empty)",
-            "specs": spec_text or "(none)",
-            "k_max": str(k_max),
-        },
+    report, asserting = _whiskering_report(
+        "star", graph, cover, f"spec={spec_text or '-'}/k={k_max}",
+        specs=spec_text or "(none)", k_max=str(k_max),
     )
-    asserting = graph.is_cycle_cover(cover)
-    report.check("cycle-cover", _yesno(asserting), asserting)
-    if not asserting:
-        report.flag("hypothesis violated: S is not a cycle cover; exploring anyway")
-
     attached_at = {s.attach_at for s in specs}
     for s in specs:
         if s.attach_at not in cover:
@@ -333,10 +328,10 @@ def verify_glue_theorem(
     """Glue two graphs along a common leaf edge and test the duplication.
 
     Both factors must duplicate the shared edge with the same multiplicity,
-    which must dominate every other entry.  The shadows of the support
-    vertex are checked as a shedding sequence in each factor and in the
-    glued graph; when both factors pass, the glued duplication is asserted
-    vertex decomposable.
+    which must dominate every other entry, and no entry may be zero.  The
+    shadows of the support vertex are checked as a shedding sequence in
+    each factor and in the glued graph; when both factors pass, the glued
+    duplication is asserted vertex decomposable.
     """
     started = time.perf_counter()
     u, v = edge
@@ -374,31 +369,25 @@ def verify_glue_theorem(
     if shared < max(tuple_g) or shared < max(tuple_h):
         report.flag("shared-edge multiplicity is not maximal; exploring anyway")
         asserting = False
-    if shared < 1:
-        report.flag("shared-edge multiplicity is zero; exploring anyway")
-        asserting = False
+    asserting = _no_zero_multiplicity(report, tuple_g, tuple_h) and asserting
 
-    glued = glue_along_edge(g, h, edge)
-    glued_entries = list(tuple_g)
-    for i, e in enumerate(h.edges):
-        if i != pos_h:
-            glued_entries.append(tuple_h[i])
-    glued_tuple = DuplicationTuple(tuple(glued_entries))
+    def shed_support(graph: Graph, t: Sequence[int]) -> tuple[Graph, bool]:
+        """The duplication of ``graph`` by t, and whether the first
+        ``shared`` shadows of the support form a shedding sequence in it."""
+        dup = duplicate_edges(graph, t)
+        return dup, check_shedding_sequence(dup, shadows_of(dup, support)[:shared]).verdict
 
     factor_ok = True
     for label, factor, t in (("G", g, tuple_g), ("H", h, tuple_h)):
-        dup = duplicate_edges(factor, t)
-        shadows = shadows_of(dup, support)[:shared]
-        trace = check_shedding_sequence(dup, shadows)
-        report.observe(f"factor-{label}-shedding-sequence", _yesno(trace.verdict))
-        factor_ok = factor_ok and trace.verdict
+        ok = shed_support(factor, t)[1]
+        report.observe(f"factor-{label}-shedding-sequence", _yesno(ok))
+        factor_ok = factor_ok and ok
 
-    glued_dup = duplicate_edges(glued, glued_tuple)
-    shadows = shadows_of(glued_dup, support)[:shared]
-    trace = check_shedding_sequence(glued_dup, shadows)
+    glued_tuple = (*tuple_g, *tuple_h[:pos_h], *tuple_h[pos_h + 1:])
+    glued_dup, glued_ok = shed_support(glue_along_edge(g, h, edge), glued_tuple)
     verdict = vertex_decomposable(glued_dup)
     asserting = asserting and factor_ok
-    report.check("glued-shedding-sequence", _yesno(trace.verdict), asserting)
+    report.check("glued-shedding-sequence", _yesno(glued_ok), asserting)
     report.check("glued-vertex-decomposable", _yesno(verdict), asserting)
     if not factor_ok:
         report.flag("a factor failed its shedding sequence; glued check is exploration")
@@ -430,8 +419,9 @@ def counterexample_search(max_vertices: int, max_k: int, mode: str) -> Iterator[
     isomorphic duplications, so the first of them in enumeration order is
     decided and the rest reuse its verdict.
 
-    Scenario ids encode the enumeration position, so output sorted by id
-    equals enumeration order.
+    Reports come in enumeration order, and the CLI prints them in that
+    order.  Scenario ids encode the enumeration position, but they sort in
+    that order only up to 7 vertices: at 8, g1000 sorts before g101.
     """
     if not 1 <= max_vertices <= 8:
         raise GraphError("max_vertices must be between 1 and 8")
@@ -445,23 +435,32 @@ def counterexample_search(max_vertices: int, max_k: int, mode: str) -> Iterator[
         yield from _search_tuple_violations(max_vertices, max_k)
 
 
-def _search_non_cycle_covers(max_vertices: int, max_k: int) -> Iterator[ScenarioReport]:
+def _base_graphs(max_vertices: int) -> Iterator[tuple[Graph, str, dict[str, str]]]:
+    """Every connected graph with a cycle, up to ``max_vertices`` vertices.
+
+    In enumeration order, each with its id stem ``n{n}/g{index:03d}`` and
+    its report inputs.  Forests are left out: every vertex set is a cycle
+    cover of a forest.
+    """
     for n in range(1, max_vertices + 1):
         for g_index, edges in enumerate(connected_graphs_up_to_isomorphism(n)):
             graph = as_graph(n, edges)
-            if graph.is_cycle_cover(()):
-                continue  # forests: every subset is a cycle cover
-            whiskered = add_whiskers(graph, graph.vertex_names).graph
-            engines = [
-                DecompositionEngine(duplicate_vertices(whiskered, k).adjacency_masks())
-                for k in range(1, max_k + 1)
-            ]
-            inputs = {"graph": graph_digest(graph), "edges": _edge_list(graph)}
-            for combo in _orbit_minimal_non_covers(graph.adjacency_masks()):
-                names = [graph.vertex_names[i] for i in combo]
-                report = _explore_non_cycle_cover(engines, combo, names, inputs, n, g_index)
-                if report is not None:
-                    yield report
+            if not graph.is_cycle_cover(()):
+                inputs = {"graph": graph_digest(graph), "edges": _edge_list(graph)}
+                yield graph, f"n{n}/g{g_index:03d}", inputs
+
+
+def _search_non_cycle_covers(max_vertices: int, max_k: int) -> Iterator[ScenarioReport]:
+    for graph, stem, inputs in _base_graphs(max_vertices):
+        whiskered = add_whiskers(graph, graph.vertex_names).graph
+        engines = [
+            DecompositionEngine(duplicate_vertices(whiskered, k).adjacency_masks())
+            for k in range(1, max_k + 1)
+        ]
+        for combo in _orbit_minimal_non_covers(graph.adjacency_masks()):
+            report = _explore_non_cycle_cover(engines, graph, combo, inputs, stem)
+            if report is not None:
+                yield report
 
 
 def _orbit_minimal_non_covers(rows: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -507,22 +506,23 @@ def _whiskered_shadow_mask(n: int, combo: Sequence[int], k: int) -> int:
 
 def _explore_non_cycle_cover(
     engines: Sequence[DecompositionEngine],
+    graph: Graph,
     combo: Sequence[int],
-    names: Sequence[str],
     inputs: Mapping[str, str],
-    n: int,
-    g_index: int,
+    stem: str,
 ) -> ScenarioReport | None:
     max_k = len(engines)
     verdicts: list[bool] = []
     for k, engine in enumerate(engines, start=1):
-        verdicts.append(engine.is_vd_mask(_whiskered_shadow_mask(n, combo, k)))
+        mask = _whiskered_shadow_mask(graph.vertex_count, combo, k)
+        verdicts.append(engine.is_vd_mask(mask))
         if not verdicts[-1]:
             break
     if not verdicts[0]:
         return None  # not decomposable even before duplicating: not an edge case
+    names = [graph.vertex_names[i] for i in combo]
     report = ScenarioReport(
-        scenario=f"search-i/n{n}/g{g_index:03d}/S{len(names)}:{'+'.join(names) or '-'}",
+        scenario=f"search-i/{stem}/S{len(names)}:{'+'.join(names) or '-'}",
         inputs={**inputs, "S": "+".join(names) or "(empty)", "max_k": str(max_k)},
     )
     report.flag("S is not a cycle cover")
@@ -536,53 +536,42 @@ def _explore_non_cycle_cover(
 
 
 def _search_tuple_violations(max_vertices: int, max_k: int) -> Iterator[ScenarioReport]:
-    for n in range(1, max_vertices + 1):
-        for g_index, edges in enumerate(connected_graphs_up_to_isomorphism(n)):
-            graph = as_graph(n, edges)
-            if graph.is_cycle_cover(()):
+    for graph, stem, inputs in _base_graphs(max_vertices):
+        cover = sorted(graph.minimum_cycle_cover(), key=graph.index_of)
+        whiskered = add_whiskers(graph, cover)
+        h = whiskered.graph
+        m = h.edge_count
+        base = f"search-ii/{stem}"
+        inputs = {**inputs, "S": "+".join(cover)}
+        if max_k**m > _TUPLE_SPACE_CAP:
+            report = ScenarioReport(scenario=f"{base}/skipped", inputs=inputs)
+            report.flag(
+                f"skipped: {max_k}^{m} tuples exceed the desk-scale cap {_TUPLE_SPACE_CAP}"
+            )
+            yield report
+            continue
+        rules = dominance_rules(whiskered)
+        pairs = [(h.index_of(u), h.index_of(v)) for u, v in h.edges]
+        orders = _tuple_image_orders(h.adjacency_masks(), pairs)
+        shared: dict[tuple[int, ...], bool] = {}  # verdicts of images not reached yet
+        for entries in product(range(1, max_k + 1), repeat=m):
+            if dominates(rules, entries):
                 continue
-            cover = sorted(graph.minimum_cycle_cover(), key=graph.index_of)
-            whiskered = add_whiskers(graph, cover)
-            h = whiskered.graph
-            m = h.edge_count
-            base = f"search-ii/n{n}/g{g_index:03d}"
-            inputs = {
-                "graph": graph_digest(graph),
-                "edges": _edge_list(graph),
-                "S": "+".join(cover),
-            }
-            if max_k**m > _TUPLE_SPACE_CAP:
-                report = ScenarioReport(scenario=f"{base}/skipped", inputs=inputs)
-                report.flag(
-                    f"skipped: {max_k}^{m} tuples exceed the desk-scale cap {_TUPLE_SPACE_CAP}"
-                )
-                yield report
-                continue
-            rules = dominance_rules(whiskered)
-            pairs = [(h.index_of(u), h.index_of(v)) for u, v in h.edges]
-            orders = _tuple_image_orders(h.adjacency_masks(), pairs)
-            shared: dict[tuple[int, ...], bool] = {}  # verdicts of images not reached yet
-            for entries in product(range(1, max_k + 1), repeat=m):
-                if dominates(rules, entries):
-                    continue
-                verdict = shared.pop(entries, None)
-                if verdict is None:  # the first tuple of its Aut(h) orbit
-                    rows = duplicated_edge_rows(h.vertex_count, pairs, entries)
-                    verdict = DecompositionEngine(rows).is_vd()
-                    for order in orders:
-                        image = tuple(map(entries.__getitem__, order))
-                        if image > entries and not dominates(rules, image):
-                            shared[image] = verdict
-                t = DuplicationTuple(entries).render()
-                report = ScenarioReport(
-                    scenario=f"{base}/t={t}",
-                    inputs={**inputs, "tuple": t},
-                )
-                report.flag("tuple is not whisker-dominant")
-                report.observe("vertex-decomposable", _yesno(verdict))
-                if verdict:
-                    report.flag("edge case: decomposability survived a non-dominant tuple")
-                yield report
+            verdict = shared.pop(entries, None)
+            if verdict is None:  # the first tuple of its Aut(h) orbit
+                rows = duplicated_edge_rows(h.vertex_count, pairs, entries)
+                verdict = DecompositionEngine(rows).is_vd()
+                for order in orders:
+                    image = tuple(map(entries.__getitem__, order))
+                    if image > entries and not dominates(rules, image):
+                        shared[image] = verdict
+            t = DuplicationTuple(entries).render()
+            report = ScenarioReport(scenario=f"{base}/t={t}", inputs={**inputs, "tuple": t})
+            report.flag("tuple is not whisker-dominant")
+            report.observe("vertex-decomposable", _yesno(verdict))
+            if verdict:
+                report.flag("edge case: decomposability survived a non-dominant tuple")
+            yield report
 
 
 def _tuple_image_orders(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import symcover
-from symcover.cli import main
+from symcover.cli import _emit_reports, main
 from symcover.graphs import build_graph, save_graph
+from symcover.scenarios import ScenarioReport
 
 from conftest import FIXTURES, c4, p3, whiskered_fish
 
@@ -153,6 +155,15 @@ def test_usage_errors_exit_2(capsys, c4_path, tmp_path):
         path.write_text('{"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]], '
                         f'"whiskers": [{whisker}]}}')
         bad_whiskers.append(("check-vd", str(path)))
+    # provenance for a vertex that is no pendant, and a leaf with two supports
+    for i, whiskers in enumerate(('{"leaf": "x2", "support": "x1"}',
+                                  '{"leaf": "x5", "support": "x2"}, '
+                                  '{"leaf": "x5", "support": "x1"}')):
+        path = tmp_path / f"bad_provenance{i}.graph"
+        path.write_text('{"vertices": ["x1", "x2", "x3", "x4", "x5"], '
+                        '"edges": [["x1", "x2"], ["x2", "x3"], ["x3", "x4"], ["x1", "x4"], '
+                        f'["x1", "x5"]], "whiskers": [{whiskers}]}}')
+        bad_whiskers.append(("check-vd", str(path)))
     # a JSON string where a list belongs would be iterated as characters
     not_lists = []
     for i, doc in enumerate(('{"vertices": "ab", "edges": []}',
@@ -215,11 +226,23 @@ def test_python_dash_m_runs_the_cli(tmp_path):
 
 
 def test_search_cli_sorted_output(capsys):
-    code, out, _ = run(capsys, "search", "--max-vertices", "3", "--max-k", "2",
-                       "--mode", "ii")
-    assert code == 0
-    ids = [line.split(": ", 1)[1] for line in out.splitlines() if line.startswith("scenario:")]
-    assert ids == sorted(ids) and ids
+    # below 8 vertices the ids sort in enumeration order, the order printed
+    for max_vertices, mode in (("3", "ii"), ("5", "i")):
+        code, out, _ = run(capsys, "search", "--max-vertices", max_vertices, "--max-k", "2",
+                           "--mode", mode)
+        assert code == 0
+        ids = [line.split(": ", 1)[1] for line in out.splitlines()
+               if line.startswith("scenario:")]
+        assert ids == sorted(ids) and ids, mode
+
+
+def test_emit_reports_keeps_the_given_order(capsys):
+    # at 8 vertices "g1000" sorts before "g101" although it comes later
+    reports = [ScenarioReport(f"search-i/n8/{g}/S1:x1", {}) for g in ("g101", "g1000")]
+    for fmt in ("text", "json"):
+        _emit_reports(reports, fmt)
+        out = capsys.readouterr().out
+        assert out.index("/g101/") < out.index("/g1000/"), fmt
 
 
 def test_fixture_scenarios_behave_as_pinned(capsys):
@@ -238,3 +261,54 @@ def test_fixture_scenarios_behave_as_pinned(capsys):
             want = scenario["expect_step"]
             line = f"step {want['name']}: observed={want['observed']}"
             assert line in out, scenario["name"]
+
+
+# sha256 prefixes of stdout, taken before cover ideals were read off the
+# symbolic-power rule and the verifiers shared one report preamble
+FIXTURE_SCENARIO_DIGESTS = {
+    "c4-cover-ideal": ("9025c21dbf17", "246bd158834a"),
+    "c4-symbolic-square": ("c3852967b88b", "abff6c24588f"),
+    "c4-symbolic-square-polarized": ("6d4a0fe7f0ff", "8ac7546aa9ba"),
+    "p3-cover-linear-quotients": ("c85385c35d4c", "de52d4e891b7"),
+    "whiskered-fish-check-vd": ("0b190c5867d7", "7b57ed0a8658"),
+    "fivevertex-main-theorem-k2": ("81dac8dd45d3", "b75c6c0acf72"),
+    "fish-misses-cycle-k2-breaks": ("12674bcd8f01", "f459eefccb68"),
+    "c4-edge-duplication-constant-2": ("ede466dedbd7", "ecadcb31dc07"),
+    "c4-edge-duplication-boundary": ("deb5295f8d92", "8f21ee724b5a"),
+    "c4-star-nonpure-triangle-plus-whisker": ("6ade12901a6c", "7f2a8a098c76"),
+    "c4-star-pure-triangle-breaks": ("e101bf26072f", "2c75316e4861"),
+    "glue-two-wheels-identity-tuple": ("cb68a0a3eb7f", "a2fc9c452f1a"),
+    "glue-whiskered-triangles-constant-2": ("0339516baea7", "e5e6c28e65d3"),
+    "search-mode-i-smoke": ("3f1ced81bb21", "21e173d2e7f5"),
+    "search-mode-ii-smoke": ("e93678d12152", "2423a2f7622b"),
+}
+CERTIFICATE_DIGESTS = {
+    "c4.graph": ("6ca5d7b913bf", "52eefa45eb72"),
+    "fish.graph": ("c223d0be94e9", "448281c7b657"),
+    "fish_whiskered.graph": ("0b190c5867d7", "7b57ed0a8658"),
+    "fivevertex.graph": ("7ce842a90833", "64425b9462c0"),
+    "glue_g.graph": ("1421382f9682", "6bdf48667cb8"),
+    "glue_h.graph": ("0013f1b17fd1", "b578fde0a9d7"),
+    "p3.graph": ("4a1481407140", "aa766be97eaf"),
+    "triangle_whiskered.graph": ("1f2281a9730e", "5c930603e991"),
+}
+
+
+def fixture_argvs():
+    spec = json.loads((FIXTURES / "scenarios.json").read_text())
+    for scenario in spec["scenarios"]:
+        argv = [str(FIXTURES / a[1:]) if a.startswith("@") else a for a in scenario["argv"]]
+        yield pytest.param(argv, FIXTURE_SCENARIO_DIGESTS.get(scenario["name"]),
+                           id=scenario["name"])
+    for path in sorted(FIXTURES.glob("*.graph")):
+        yield pytest.param(["check-vd", str(path), "--certificate"],
+                           CERTIFICATE_DIGESTS.get(path.name), id=f"certificate-{path.name}")
+
+
+@pytest.mark.parametrize("argv, digests", fixture_argvs())
+def test_fixture_output_is_pinned(capsys, argv, digests):
+    assert digests is not None, "a new fixture needs its output pinned here"
+    for fmt, digest in zip(("text", "json"), digests):
+        main([*argv, "--format", fmt])
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest()[:12] == digest, fmt

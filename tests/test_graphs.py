@@ -14,6 +14,7 @@ from symcover.graphs import (
     add_whiskers,
     attach_star_complete,
     build_graph,
+    fresh_names,
     glue_along_edge,
     graph_from_json_dict,
     graph_to_json_dict,
@@ -264,6 +265,20 @@ def test_whisker_names_fall_back_when_not_numbered():
     g = build_graph(["left", "right"], [("left", "right")])
     w = add_whiskers(g, ["left"])
     assert w.graph.vertex_names == ("left", "right", "w1")
+
+
+@pytest.mark.parametrize("existing, count, stem, expected", [
+    (["x1", "x2", "x3", "x4"], 2, "w", ["x5", "x6"]),   # a common stem continues
+    (["x3", "x1"], 2, "w", ["x4", "x5"]),               # after the top, not in the gap
+    (["x1", "y2"], 2, "w", ["w1", "w2"]),               # mixed stems
+    (["left", "x1"], 1, "k", ["k1"]),                   # a name without digits
+    (["a", "w1", "w3"], 3, "w", ["w2", "w4", "w5"]),    # collisions with the fallback
+    (["w1", "w2"], 1, "w", ["w3"]),                     # the fallback as common stem
+    ([], 2, "k", ["k1", "k2"]),                         # no existing names
+    (["x1"], 0, "w", []),
+])
+def test_fresh_names_table(existing, count, stem, expected):
+    assert fresh_names(existing, count, fallback_stem=stem) == expected
 
 
 # -- gluing ---------------------------------------------------------------------

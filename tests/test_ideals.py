@@ -112,6 +112,22 @@ def test_cover_ideal_edgeless_is_whole_ring():
     assert cover_ideal(build_graph(["a", "b"], [])).is_whole_ring
 
 
+def test_cover_ideal_is_the_first_symbolic_power(small_graph_atlas):
+    # one generator rule: J(G) = J(G)^(1), generators in the order of the
+    # minimal vertex covers
+    for g in small_graph_atlas:
+        if g.vertex_count > 6:
+            continue
+        ideal = cover_ideal(g)
+        first = symbolic_power(g, 1)
+        assert ideal.generators == first.generators, g.edges
+        assert ideal.variables == first.variables == g.vertex_names
+        assert ideal.is_whole_ring == first.is_whole_ring == (g.edge_count == 0)
+        if g.edge_count:
+            covers = [Monomial.of({v: 1 for v in c}) for c in g.minimal_vertex_covers()]
+            assert list(ideal.generators) == covers, g.edges
+
+
 def test_minimal_primes_examples():
     assert minimal_primes(c4()) == [
         EdgePrime("x1", "x2"),

@@ -13,6 +13,7 @@ from symcover.decomposability import DecompositionEngine, vertex_decomposable
 from symcover.duplication import duplicate_vertices, duplicated_edge_rows
 from symcover.enumeration import as_graph, connected_graphs_up_to_isomorphism
 from symcover.graphs import GraphError, StarCompleteSpec, add_whiskers, build_graph
+import symcover.scenarios
 from symcover.scenarios import (
     _orbit_minimal_non_covers,
     _whiskered_shadow_mask,
@@ -62,9 +63,9 @@ def test_main_theorem_edgeless_is_vacuous():
     assert step(report, "linear-quotients k=1").observed == "whole ring (no generators)"
 
 
-def test_main_theorem_generator_cap():
-    report = verify_main_theorem(five_vertex_example(), ["x2"], 1, k_max=1,
-                                 lq_generator_cap=2)
+def test_main_theorem_generator_cap(monkeypatch):
+    monkeypatch.setattr(symcover.scenarios, "_LQ_GENERATOR_CAP", 2)
+    report = verify_main_theorem(five_vertex_example(), ["x2"], 1, k_max=1)
     assert "skipped" in step(report, "linear-quotients k=1").observed
     assert report.overall_pass
 
@@ -95,6 +96,16 @@ def test_edge_theorem_unicyclic_with_dominant_whisker():
     report = verify_edge_theorem(g, ["x1"], 1, (2, 1, 1, 1, 2, 2))
     assert report.overall_pass
     assert step(report, "vertex-decomposable").observed == "yes"
+
+
+def test_edge_theorem_zero_multiplicity_is_exploration():
+    # a zero entry deletes its edge's shadows, so nothing may be asserted
+    zero_flag = "hypothesis violated: a duplication multiplicity is zero; exploring anyway"
+    for t in ((0, 0, 0, 0, 0), (1, 0, 0, 0, 1), (2, 2, 2, 2, 0)):
+        report = verify_edge_theorem(c4(), ["x1"], 1, t)
+        assert zero_flag in report.flags, t
+        assert all(s.expected is None for s in report.steps if s.name != "cycle-cover"), t
+        assert step(report, "cycle-cover").passed
 
 
 def test_edge_theorem_length_mismatch():
@@ -159,6 +170,17 @@ def test_glue_whiskered_triangles_constant_two():
     assert report.overall_pass
     assert step(report, "factor-G-shedding-sequence").observed == "yes"
     assert step(report, "glued-shedding-sequence").passed
+
+
+def test_glue_zero_multiplicity_is_exploration():
+    zero_flag = "hypothesis violated: a duplication multiplicity is zero; exploring anyway"
+    g, h = glue_factors()
+    for tuple_g, tuple_h in (((1, 0, 0, 0, 0, 0), (1, 0, 0, 0)),
+                             ((1, 1, 1, 1, 1, 1), (1, 1, 0, 1)),
+                             ((0,) * 6, (0,) * 4)):
+        report = verify_glue_theorem(g, h, ("x1", "x2"), tuple_g, tuple_h)
+        assert report.flags.count(zero_flag) == 1, (tuple_g, tuple_h)
+        assert all(s.expected is None for s in report.steps), (tuple_g, tuple_h)
 
 
 def test_glue_requires_common_leaf():
@@ -283,6 +305,13 @@ def search_digest(*argv):
         code = main(["search", *argv])
     assert code == 0
     return hashlib.sha256(out.getvalue().encode()).hexdigest()[:12]
+
+
+def test_search_mode_i_output_is_pinned():
+    # taken before both search modes shared one base-graph loop
+    argv = ("--max-vertices", "6", "--max-k", "2", "--mode", "i")
+    assert search_digest(*argv) == "a6dd35a8ca0f"
+    assert search_digest(*argv, "--format", "json") == "ec4c90b830a5"
 
 
 def test_search_mode_ii_output_is_pinned():
