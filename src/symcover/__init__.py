@@ -6,7 +6,6 @@ from .graphs import (
     Graph,
     GraphError,
     StarCompleteSpec,
-    Vertex,
     WhiskeredGraph,
     add_whiskers,
     attach_star_complete,
@@ -18,10 +17,11 @@ from .graphs import (
     save_graph,
 )
 from .duplication import (
-    DuplicationTuple,
     duplicate_edges,
     duplicate_vertices,
     expand_edge,
+    parse_tuple,
+    render_tuple,
     satisfies_whisker_dominance,
     shadows_of,
 )

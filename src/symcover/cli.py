@@ -17,7 +17,7 @@ import sys
 from typing import Sequence
 
 from .decomposability import is_vertex_decomposable, render_certificate, vertex_decomposable
-from .duplication import DuplicationTuple
+from .duplication import parse_tuple
 from .graphs import GraphError, StarCompleteSpec, add_whiskers, load_graph
 from .ideals import (
     IdealError,
@@ -50,6 +50,8 @@ def _parse_counts(text: str | None) -> dict[str, int] | int:
     out: dict[str, int] = {}
     for item in _parse_names(text):
         name, _, raw = item.partition("=")
+        if name in out:
+            raise GraphError(f"--counts names vertex {name!r} twice")
         try:
             out[name] = int(raw)
         except ValueError:
@@ -173,11 +175,9 @@ def _run_verify(args: argparse.Namespace) -> int:
     names = _parse_names(args.S)
     counts = _parse_counts(args.counts)
 
-    def tuple_for(raw: str | None, edge_count: int) -> DuplicationTuple:
+    def tuple_for(raw: str | None, edge_count: int) -> tuple[int, ...]:
         # a tuple can be spelled out or given as --k for the constant tuple
-        if raw:
-            return DuplicationTuple.parse(raw)
-        return DuplicationTuple.constant(args.k, edge_count)
+        return parse_tuple(raw) if raw else (args.k,) * edge_count
 
     if args.theorem == "main":
         report = verify_main_theorem(graph, names, counts, k_max=args.k)
@@ -191,9 +191,10 @@ def _run_verify(args: argparse.Namespace) -> int:
     else:
         if not (args.graph2 and args.edge):
             raise GraphError("verify glue needs --graph2 and --edge")
-        u, v = (args.edge.split(",") + ["", ""])[:2]
-        if not u or not v:
+        ends = args.edge.split(",")
+        if len(ends) != 2 or not all(ends):
             raise GraphError("--edge must look like u,v")
+        u, v = ends
         h = load_graph(args.graph2)
         report = verify_glue_theorem(
             graph,

@@ -292,9 +292,7 @@ class SequenceStep:
 
 @dataclass(frozen=True)
 class SheddingSequenceTrace:
-    vertices: tuple[str, ...]
     steps: tuple[SequenceStep, ...]
-    final_graph: Graph
     final_vd: bool
     verdict: bool
 
@@ -312,7 +310,7 @@ def check_shedding_sequence(graph: Graph, vertices: Sequence[str]) -> SheddingSe
     """
     seen: set[str] = set()
     for name in vertices:
-        graph.vertex(name)
+        graph.index_of(name)
         if name in seen:
             raise GraphError(f"repeated vertex {name!r} in shedding sequence")
         seen.add(name)
@@ -333,13 +331,7 @@ def check_shedding_sequence(graph: Graph, vertices: Sequence[str]) -> SheddingSe
 
     final_vd = engine.is_vd_mask(current)
     verdict = final_vd and all(s.sheds and s.after_link_vd for s in steps)
-    return SheddingSequenceTrace(
-        vertices=tuple(vertices),
-        steps=tuple(steps),
-        final_graph=graph.induced_subgraph(graph.names_of(current)),
-        final_vd=final_vd,
-        verdict=verdict,
-    )
+    return SheddingSequenceTrace(steps=tuple(steps), final_vd=final_vd, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,12 @@ where r is the multiplicity assigned to that edge.  Duplicating vertices
 uses one global multiplicity k (every vertex gets exactly k shadows, even
 isolated ones); duplicating edges takes one multiplicity per edge, in the
 graph's canonical edge order, and only creates the shadows its expansions
-need.
+need.  The name ``x.p`` is the only record of which vertex a shadow copies,
+as it is for the slots of ``ideals.polarize``.
+
+A duplication tuple is a plain ``tuple[int, ...]``, one multiplicity per
+edge; ``parse_tuple`` and ``render_tuple`` convert it from and to the
+comma-separated text of the CLI and the reports.
 
 The counterexample search builds edge duplications as adjacency rows
 (``duplicated_edge_rows``) and checks whisker dominance on edge positions
@@ -15,50 +20,26 @@ The counterexample search builds edge duplications as adjacency rows
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
 
-from .graphs import Graph, GraphError, WhiskeredGraph, shadow_vertex
+from .graphs import Graph, GraphError, WhiskeredGraph
 
 
-@dataclass(frozen=True)
-class DuplicationTuple:
-    """Per-edge duplication multiplicities, aligned with the edge order."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for v in self.values:
-            if v < 0:
-                raise GraphError(f"duplication multiplicities must be >= 0, got {v}")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, i: int) -> int:
-        return self.values[i]
-
-    @classmethod
-    def constant(cls, k: int, length: int) -> DuplicationTuple:
-        return cls((k,) * length)
-
-    @classmethod
-    def parse(cls, text: str) -> DuplicationTuple:
-        try:
-            return cls(tuple(int(part) for part in text.split(",")))
-        except ValueError as exc:
-            raise GraphError(f"malformed duplication tuple {text!r}") from exc
-
-    def render(self) -> str:
-        return ",".join(str(v) for v in self.values)
+def parse_tuple(text: str) -> tuple[int, ...]:
+    """A duplication tuple from comma-separated multiplicities, each >= 0."""
+    try:
+        t = tuple(int(part) for part in text.split(","))
+    except ValueError as exc:
+        raise GraphError(f"malformed duplication tuple {text!r}") from exc
+    for v in t:
+        if v < 0:
+            raise GraphError(f"duplication multiplicities must be >= 0, got {v}")
+    return t
 
 
-def coerce_tuple(t: DuplicationTuple | Sequence[int]) -> DuplicationTuple:
-    return t if isinstance(t, DuplicationTuple) else DuplicationTuple(tuple(t))
+def render_tuple(t: Sequence[int]) -> str:
+    return ",".join(map(str, t))
 
 
 @cache
@@ -79,22 +60,21 @@ def expand_edge(edge: tuple[str, str], r: int) -> tuple[tuple[str, str], ...]:
     return tuple((f"{u}.{p}", f"{v}.{q}") for p, q in copy_pairs(r))
 
 
-def duplicate_edges(graph: Graph, t: DuplicationTuple | Sequence[int]) -> Graph:
+def duplicate_edges(graph: Graph, t: Sequence[int]) -> Graph:
     """Duplicate every edge by its own multiplicity.
 
     Shadows with the same (base, copy) coordinates are identified across
     edges.  Vertex order: base vertices in graph order, copies ascending.
     Edge order: edges in graph order, each expansion in (p, q) order.
     """
-    t = coerce_tuple(t)
     if len(t) != graph.edge_count:
         raise GraphError(
             f"tuple length {len(t)} does not match the {graph.edge_count} edges of the graph"
         )
     pairs = [(graph.index_of(u), graph.index_of(v)) for u, v in graph.edges]
     verts = [
-        shadow_vertex(v.name, p)
-        for v, c in zip(graph.vertices, _copy_counts(graph.vertex_count, pairs, t))
+        f"{name}.{p}"
+        for name, c in zip(graph.vertex_names, _copy_counts(graph.vertex_count, pairs, t))
         for p in range(1, c + 1)
     ]
     edges = [shadow for edge, r in zip(graph.edges, t) for shadow in expand_edge(edge, r)]
@@ -144,15 +124,20 @@ def duplicate_vertices(graph: Graph, k: int) -> Graph:
     """
     if k < 1:
         raise GraphError(f"vertex duplication multiplicity must be >= 1, got {k}")
-    verts = [shadow_vertex(v.name, p) for v in graph.vertices for p in range(1, k + 1)]
+    verts = [f"{name}.{p}" for name in graph.vertex_names for p in range(1, k + 1)]
     edges = [shadow for edge in graph.edges for shadow in expand_edge(edge, k)]
     return Graph(verts, edges)
 
 
 def shadows_of(graph: Graph, base: str) -> tuple[str, ...]:
-    """Names of the shadow copies of ``base``, in copy order."""
-    mine = [v for v in graph.vertices if v.kind == "shadow" and v.base == base]
-    return tuple(v.name for v in sorted(mine, key=lambda v: v.copy or 0))
+    """The shadows ``base.p`` (p >= 1) among the vertices of ``graph``, in copy order."""
+    copies = sorted(
+        (int(p), name)
+        for name in graph.vertex_names
+        for stem, _, p in [name.rpartition(".")]
+        if stem == base and p.isascii() and p.isdigit() and p[0] != "0"
+    )
+    return tuple(name for _, name in copies)
 
 
 DominanceRule = tuple[tuple[int, ...], tuple[int, ...]]
@@ -185,14 +170,13 @@ def dominates(rules: Sequence[DominanceRule], t: Sequence[int]) -> bool:
     )
 
 
-def satisfies_whisker_dominance(whiskered: WhiskeredGraph, t: DuplicationTuple | Sequence[int]) -> bool:
+def satisfies_whisker_dominance(whiskered: WhiskeredGraph, t: Sequence[int]) -> bool:
     """Check that every whisker edge's multiplicity dominates its support.
 
     For each support vertex x, the multiplicity of every whisker edge at x
     must be >= the multiplicity of every non-whisker edge incident to x.
     Vacuously true when there are no whiskers; constant tuples always pass.
     """
-    t = coerce_tuple(t)
     graph = whiskered.graph
     if len(t) != graph.edge_count:
         raise GraphError(

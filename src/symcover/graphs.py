@@ -6,9 +6,10 @@ relies on:
 * vertices are ordered (insertion order is canonical),
 * edges are ordered (insertion order defines the edge indexing e_1..e_m used
   by duplication tuples),
-* every vertex carries provenance: plain ``base`` vertices, ``shadow``
-  vertices produced by duplication (base name + copy index), and ``whisker``
-  vertices attached as pendants.
+* vertices are plain nonempty names; a name states what the rest of the
+  package needs to know of a vertex.  The shadow ``x.p`` of a duplication
+  is named for its base ``x`` and copy ``p`` (see duplication.py), and
+  ``WhiskeredGraph`` is the one record of which vertices are whiskers.
 
 Adjacency is held once, in ``Graph._rows``: one bitmask row per vertex over
 the vertex order, built in ``Graph.__init__``.  Every graph query reads those
@@ -34,65 +35,25 @@ class GraphError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# vertices
-
-@dataclass(frozen=True)
-class Vertex:
-    """A named vertex with provenance.
-
-    ``kind`` is one of ``"base"``, ``"shadow"`` (a duplication copy, with
-    ``base`` the original name and ``copy`` >= 1) or ``"whisker"`` (a pendant
-    vertex, with ``support`` the vertex it hangs from and ``index`` >= 1).
-    """
-
-    name: str
-    kind: str = "base"
-    base: str | None = None
-    copy: int | None = None
-    support: str | None = None
-    index: int | None = None
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise GraphError("vertex name must be nonempty")
-        if self.kind == "base":
-            if self.base is not None or self.copy is not None:
-                raise GraphError(f"base vertex {self.name!r} cannot carry shadow fields")
-            if self.support is not None or self.index is not None:
-                raise GraphError(f"base vertex {self.name!r} cannot carry whisker fields")
-        elif self.kind == "shadow":
-            if self.base is None or self.copy is None or self.copy < 1:
-                raise GraphError(f"shadow vertex {self.name!r} needs a base name and copy >= 1")
-        elif self.kind == "whisker":
-            if self.support is None or self.index is None or self.index < 1:
-                raise GraphError(f"whisker vertex {self.name!r} needs a support and index >= 1")
-        else:
-            raise GraphError(f"unknown vertex kind {self.kind!r}")
-
-
-def shadow_vertex(base: str, copy: int) -> Vertex:
-    """The duplication copy ``base``.``copy``, named accordingly."""
-    return Vertex(name=f"{base}.{copy}", kind="shadow", base=base, copy=copy)
-
-
-# ---------------------------------------------------------------------------
 # graphs
 
 class Graph:
     """Finite simple undirected graph over named, ordered vertices."""
 
-    __slots__ = ("_vertices", "_index", "_edges", "_rows")
+    __slots__ = ("_names", "_index", "_edges", "_rows")
 
-    def __init__(self, vertices: Sequence[Vertex | str], edges: Sequence[tuple[str, str]] = ()):
-        verts = tuple(Vertex(v) if isinstance(v, str) else v for v in vertices)
+    def __init__(self, vertices: Sequence[str], edges: Sequence[tuple[str, str]] = ()):
+        names = tuple(vertices)
         index: dict[str, int] = {}
-        for i, vert in enumerate(verts):
-            if vert.name in index:
-                raise GraphError(f"duplicate vertex name {vert.name!r}")
-            index[vert.name] = i
+        for i, name in enumerate(names):
+            if not name:
+                raise GraphError("vertex name must be nonempty")
+            if name in index:
+                raise GraphError(f"duplicate vertex name {name!r}")
+            index[name] = i
 
         edge_list: list[tuple[str, str]] = []
-        rows = [0] * len(verts)
+        rows = [0] * len(names)
         for u, w in edges:
             if u not in index:
                 raise GraphError(f"edge endpoint {u!r} is not a vertex")
@@ -107,7 +68,7 @@ class Graph:
             rows[j] |= 1 << i
             edge_list.append((u, w))
 
-        self._vertices = verts
+        self._names = names
         self._index = index
         self._edges = tuple(edge_list)
         self._rows = tuple(rows)
@@ -115,12 +76,8 @@ class Graph:
     # -- basic accessors ----------------------------------------------------
 
     @property
-    def vertices(self) -> tuple[Vertex, ...]:
-        return self._vertices
-
-    @property
     def vertex_names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self._vertices)
+        return self._names
 
     @property
     def edges(self) -> tuple[tuple[str, str], ...]:
@@ -128,7 +85,7 @@ class Graph:
 
     @property
     def vertex_count(self) -> int:
-        return len(self._vertices)
+        return len(self._names)
 
     @property
     def edge_count(self) -> int:
@@ -136,9 +93,6 @@ class Graph:
 
     def has_vertex(self, name: str) -> bool:
         return name in self._index
-
-    def vertex(self, name: str) -> Vertex:
-        return self._vertices[self.index_of(name)]
 
     def index_of(self, name: str) -> int:
         try:
@@ -160,10 +114,10 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._vertices == other._vertices and self._rows == other._rows
+        return self._names == other._names and self._rows == other._rows
 
     def __hash__(self) -> int:
-        return hash((self._vertices, self._rows))
+        return hash((self._names, self._rows))
 
     def __repr__(self) -> str:
         return f"Graph({self.vertex_count} vertices, {self.edge_count} edges)"
@@ -175,7 +129,7 @@ class Graph:
         return list(self._rows)
 
     def full_mask(self) -> int:
-        return (1 << len(self._vertices)) - 1
+        return (1 << len(self._names)) - 1
 
     def mask_of(self, names: Iterable[str]) -> int:
         mask = 0
@@ -184,7 +138,7 @@ class Graph:
         return mask
 
     def names_of(self, mask: int) -> tuple[str, ...]:
-        return tuple(self._vertices[i].name for i in _bitgraph.bits(mask))
+        return tuple(self._names[i] for i in _bitgraph.bits(mask))
 
     # -- subgraphs ----------------------------------------------------------
 
@@ -192,15 +146,14 @@ class Graph:
         """Induced subgraph, keeping vertex and edge order."""
         keep = set(names)
         for name in keep:
-            self.vertex(name)
-        verts = [v for v in self._vertices if v.name in keep]
+            self.index_of(name)
         edges = [(u, w) for u, w in self._edges if u in keep and w in keep]
-        return Graph(verts, edges)
+        return Graph([v for v in self._names if v in keep], edges)
 
     def delete_vertices(self, names: Iterable[str]) -> Graph:
         drop = set(names)
         for name in drop:
-            self.vertex(name)
+            self.index_of(name)
         return self.induced_subgraph(n for n in self.vertex_names if n not in drop)
 
     # -- independence and covers ---------------------------------------------
@@ -289,18 +242,17 @@ def fresh_names(existing: Iterable[str], count: int, fallback_stem: str) -> list
 
 @dataclass(frozen=True)
 class WhiskeredGraph:
-    """A graph together with provenance of the whiskers added to it.
+    """A graph together with the whiskers added to it.
 
     ``graph`` is the whiskered graph, ``base`` the graph before whiskering,
-    ``support_set`` the vertices that received whiskers, and
-    ``whisker_edges`` maps each support vertex to its whisker edges
+    and ``whisker_edges`` maps each support vertex to its whisker edges
     (support, leaf).  Edge order in ``graph`` is: all base edges first, then
-    whisker edges grouped by support in canonical vertex order.
+    whisker edges grouped by support in canonical vertex order.  This record
+    is the one place that says which vertices are whiskers.
     """
 
     graph: Graph
     base: Graph
-    support_set: frozenset[str]
     whisker_edges: Mapping[str, tuple[tuple[str, str], ...]]
 
     def __post_init__(self) -> None:
@@ -308,17 +260,20 @@ class WhiskeredGraph:
             if not wedges:
                 raise GraphError(f"support vertex {support!r} has no whisker edges")
             for sup, leaf in wedges:
-                if sup != support or support not in self.support_set:
-                    raise GraphError(f"whisker edge ({sup}, {leaf}) not anchored in the support set")
+                if sup != support:
+                    raise GraphError(f"whisker edge ({sup}, {leaf}) is not anchored at {support!r}")
                 if not self.graph.has_edge(sup, leaf):
                     raise GraphError(f"whisker edge ({sup}, {leaf}) is not an edge of the graph")
                 if self.graph.degree(leaf) != 1:
                     raise GraphError(f"whisker vertex {leaf!r} must have degree 1")
-                if self.graph.vertex(leaf).kind != "whisker":
-                    raise GraphError(f"whisker vertex {leaf!r} lacks whisker provenance")
         stripped = self.graph.delete_vertices(self.leaf_names())
         if stripped != self.base:
             raise GraphError("removing the whiskers does not recover the base graph")
+
+    @property
+    def support_set(self) -> frozenset[str]:
+        """The vertices that received whiskers."""
+        return frozenset(self.whisker_edges)
 
     def leaf_names(self) -> tuple[str, ...]:
         return tuple(
@@ -352,25 +307,12 @@ def add_whiskers(
             raise GraphError(f"whisker count for {s!r} must be >= 1, got {c}")
         total += c
 
-    names = fresh_names(graph.vertex_names, total, fallback_stem="w")
-    verts: list[Vertex | str] = list(graph.vertices)
-    edges = list(graph.edges)
-    whisker_edges: dict[str, tuple[tuple[str, str], ...]] = {}
-    pos = 0
-    for s in support_list:
-        mine: list[tuple[str, str]] = []
-        for i in range(counts[s]):
-            leaf = names[pos]
-            pos += 1
-            verts.append(Vertex(name=leaf, kind="whisker", support=s, index=i + 1))
-            edges.append((s, leaf))
-            mine.append((s, leaf))
-        whisker_edges[s] = tuple(mine)
-
+    leaves = iter(fresh_names(graph.vertex_names, total, fallback_stem="w"))
+    whisker_edges = {s: tuple((s, next(leaves)) for _ in range(counts[s])) for s in support_list}
+    wedges = tuple(e for s in support_list for e in whisker_edges[s])
     return WhiskeredGraph(
-        graph=Graph(verts, edges),
+        graph=Graph(graph.vertex_names + tuple(leaf for _, leaf in wedges), graph.edges + wedges),
         base=graph,
-        support_set=frozenset(support_list),
         whisker_edges=whisker_edges,
     )
 
@@ -404,7 +346,7 @@ def glue_along_edge(g: Graph, h: Graph, edge: tuple[str, str]) -> Graph:
         rename[name] = fresh
         used.add(fresh)
 
-    verts: list[Vertex | str] = list(g.vertices)
+    verts = list(g.vertex_names)
     verts.extend(rename[name] for name in h.vertex_names if name not in (u, v))
     edges = list(g.edges)
     for a, b in h.edges:
@@ -441,26 +383,17 @@ class StarCompleteSpec:
 def attach_star_complete(graph: Graph, spec: StarCompleteSpec) -> tuple[Graph, str]:
     """Attach the specified cliques at the common vertex; returns (graph, purity)."""
     center = spec.attach_at
-    graph.vertex(center)
+    graph.index_of(center)
     total_new = sum(s - 1 for s in spec.clique_sizes)
     names = fresh_names(graph.vertex_names, total_new, fallback_stem="k")
 
-    verts: list[Vertex | str] = list(graph.vertices)
     edges = list(graph.edges)
     pos = 0
-    whisker_index = 0
     for size in spec.clique_sizes:
-        mine = names[pos : pos + size - 1]
+        ring = [center, *names[pos : pos + size - 1]]
         pos += size - 1
-        if size == 2:
-            whisker_index += 1
-            verts.append(Vertex(name=mine[0], kind="whisker", support=center, index=whisker_index))
-        else:
-            verts.extend(mine)
-        ring = [center, *mine]
-        for a, b in combinations(ring, 2):
-            edges.append((a, b))
-    return Graph(verts, edges), spec.classification
+        edges.extend(combinations(ring, 2))
+    return Graph(graph.vertex_names + tuple(names), edges), spec.classification
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +444,12 @@ def graph_to_json_dict(graph: Graph, whiskered: WhiskeredGraph | None = None) ->
 
 
 def graph_from_json_dict(doc: Mapping) -> Graph:
+    """Read a graph document.
+
+    An optional ``whiskers`` list of {"support", "leaf"} entries is checked
+    (each leaf a degree-1 vertex with one support), and the plain graph is
+    returned.
+    """
     # a string would otherwise be read as a list of its characters
     for key in ("vertices", "edges"):
         if not isinstance(doc.get(key), list):
@@ -536,17 +475,6 @@ def graph_from_json_dict(doc: Mapping) -> Graph:
             raise GraphError(f"whisker leaf {leaf!r} is not adjacent to its support {support!r}")
         if graph.degree(leaf) != 1:
             raise GraphError(f"whisker leaf {leaf!r} must have degree 1")
-    if leaf_support:
-        rebuilt: list[Vertex | str] = []
-        seen: dict[str, int] = {}
-        for v in graph.vertices:
-            if v.name in leaf_support:
-                support = leaf_support[v.name]
-                seen[support] = seen.get(support, 0) + 1
-                rebuilt.append(Vertex(name=v.name, kind="whisker", support=support, index=seen[support]))
-            else:
-                rebuilt.append(v)
-        graph = Graph(rebuilt, graph.edges)
     return graph
 
 

@@ -37,13 +37,12 @@ from typing import Iterator, Mapping, Sequence
 from . import _bitgraph
 from .decomposability import DecompositionEngine, check_shedding_sequence, vertex_decomposable
 from .duplication import (
-    DuplicationTuple,
-    coerce_tuple,
     dominance_rules,
     dominates,
     duplicate_edges,
     duplicate_vertices,
     duplicated_edge_rows,
+    render_tuple,
     satisfies_whisker_dominance,
     shadows_of,
 )
@@ -192,7 +191,7 @@ def _whiskering_report(
     return report, is_cover
 
 
-def _no_zero_multiplicity(report: ScenarioReport, *tuples: DuplicationTuple) -> bool:
+def _no_zero_multiplicity(report: ScenarioReport, *tuples: Sequence[int]) -> bool:
     """Flag a zero entry, which deletes its edge: no theorem here allows one."""
     if any(0 in t for t in tuples):
         report.flag("hypothesis violated: a duplication multiplicity is zero; exploring anyway")
@@ -244,7 +243,7 @@ def verify_edge_theorem(
     graph: Graph,
     cycle_cover: Sequence[str],
     counts: Mapping[str, int] | int,
-    t: DuplicationTuple | Sequence[int],
+    t: Sequence[int],
 ) -> ScenarioReport:
     """Whisker at a cycle cover, duplicate edges by a tuple, and test.
 
@@ -255,13 +254,13 @@ def verify_edge_theorem(
     started = time.perf_counter()
     cover = sorted(set(cycle_cover), key=graph.index_of)
     whiskered = add_whiskers(graph, cover, counts)
-    t = coerce_tuple(t)
     if len(t) != whiskered.graph.edge_count:
         raise GraphError(
             f"tuple length {len(t)} does not match the "
             f"{whiskered.graph.edge_count} edges of the whiskered graph"
         )
-    report, is_cover = _whiskering_report("edge", graph, cover, f"t={t.render()}", tuple=t.render())
+    text = render_tuple(t)
+    report, is_cover = _whiskering_report("edge", graph, cover, f"t={text}", tuple=text)
     dominant = satisfies_whisker_dominance(whiskered, t)
     asserting = _no_zero_multiplicity(report, t) and is_cover and dominant
     report.check("whisker-dominance", _yesno(dominant), asserting)
@@ -284,9 +283,13 @@ def verify_glue_star(
 
     The vertex-decomposability assertion fires only when every attachment
     is non-pure, every cycle-cover vertex received one, and the attachment
-    sites lie inside the cycle cover; anything else is exploration.
+    sites lie inside the cycle cover; anything else is exploration.  A
+    vertex takes at most one spec, which lists all of its cliques.
     """
     _require_k(k_max)
+    attached_at = {s.attach_at for s in specs}
+    if len(attached_at) < len(specs):
+        raise GraphError("two attachments name the same vertex; give its cliques in one spec")
     started = time.perf_counter()
     cover = sorted(set(cycle_cover), key=graph.index_of)
     spec_text = ";".join(f"{s.attach_at}:{','.join(map(str, s.clique_sizes))}" for s in specs)
@@ -294,7 +297,6 @@ def verify_glue_star(
         "star", graph, cover, f"spec={spec_text or '-'}/k={k_max}",
         specs=spec_text or "(none)", k_max=str(k_max),
     )
-    attached_at = {s.attach_at for s in specs}
     for s in specs:
         if s.attach_at not in cover:
             report.flag(f"attachment at {s.attach_at} lies outside the cycle-cover set")
@@ -322,8 +324,8 @@ def verify_glue_theorem(
     g: Graph,
     h: Graph,
     edge: tuple[str, str],
-    tuple_g: DuplicationTuple | Sequence[int],
-    tuple_h: DuplicationTuple | Sequence[int],
+    tuple_g: Sequence[int],
+    tuple_h: Sequence[int],
 ) -> ScenarioReport:
     """Glue two graphs along a common leaf edge and test the duplication.
 
@@ -343,8 +345,6 @@ def verify_glue_theorem(
     leaf = leaf_candidates[0]
     support = v if leaf == u else u
 
-    tuple_g = coerce_tuple(tuple_g)
-    tuple_h = coerce_tuple(tuple_h)
     if len(tuple_g) != g.edge_count or len(tuple_h) != h.edge_count:
         raise GraphError("tuple lengths must match the edge counts of the factors")
     key = frozenset(edge)
@@ -354,15 +354,15 @@ def verify_glue_theorem(
     if tuple_h[pos_h] != shared:
         raise GraphError("the shared edge must receive the same multiplicity in both factors")
 
+    text_g, text_h = render_tuple(tuple_g), render_tuple(tuple_h)
     report = ScenarioReport(
-        scenario=f"verify-glue/{graph_digest(g)}+{graph_digest(h)}/e={u}-{v}"
-        f"/t={tuple_g.render()}/{tuple_h.render()}",
+        scenario=f"verify-glue/{graph_digest(g)}+{graph_digest(h)}/e={u}-{v}/t={text_g}/{text_h}",
         inputs={
             "graph": graph_digest(g),
             "graph2": graph_digest(h),
             "edge": f"{u}-{v}",
-            "tuple": tuple_g.render(),
-            "tuple2": tuple_h.render(),
+            "tuple": text_g,
+            "tuple2": text_h,
         },
     )
     asserting = True
@@ -565,7 +565,7 @@ def _search_tuple_violations(max_vertices: int, max_k: int) -> Iterator[Scenario
                     image = tuple(map(entries.__getitem__, order))
                     if image > entries and not dominates(rules, image):
                         shared[image] = verdict
-            t = DuplicationTuple(entries).render()
+            t = render_tuple(entries)
             report = ScenarioReport(scenario=f"{base}/t={t}", inputs={**inputs, "tuple": t})
             report.flag("tuple is not whisker-dominant")
             report.observe("vertex-decomposable", _yesno(verdict))

@@ -185,6 +185,12 @@ def test_usage_errors_exit_2(capsys, c4_path, tmp_path):
         ("verify", "star", "--graph", c4_path, "--S", "x1", "--spec", "x1:2", "--k", "0"),
         ("verify", "edge", "--graph", str(FIXTURES / "c4.graph"), "--S", "x1",
          "--counts", "x1=1,x9=4", "--k", "1"),
+        # one vertex named twice: by two attachments, or by two counts
+        ("verify", "star", "--graph", c4_path, "--S", "x1", "--spec", "x1:3", "--spec", "x1:2"),
+        ("verify", "main", "--graph", c4_path, "--S", "x1", "--counts", "x1=1,x1=2"),
+        # a shared edge names exactly two vertices
+        ("verify", "glue", "--graph", str(FIXTURES / "glue_g.graph"),
+         "--graph2", str(FIXTURES / "glue_h.graph"), "--edge", "x1,x2,bogus"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv

@@ -238,8 +238,8 @@ def test_decomposable_cover_ideals_have_linear_quotients():
 def test_empty_sequence_reduces_to_plain_check():
     for g in (p3(), c4(), whiskered_fish()):
         trace = check_shedding_sequence(g, [])
-        assert trace.verdict == vertex_decomposable(g)
-        assert trace.final_graph == g
+        assert trace.steps == ()
+        assert trace.verdict == trace.final_vd == vertex_decomposable(g)
 
 
 def test_constant_two_duplication_sequence_passes():

@@ -7,11 +7,12 @@ import pytest
 
 from symcover._bitgraph import bits
 from symcover.duplication import (
-    DuplicationTuple,
     duplicate_edges,
     duplicate_vertices,
     duplicated_edge_rows,
     expand_edge,
+    parse_tuple,
+    render_tuple,
     satisfies_whisker_dominance,
     shadows_of,
 )
@@ -67,18 +68,41 @@ def test_duplicate_single_edge_shadows(r):
     g = duplicate_edges(single_edge(), (r,))
     expected = [(base, p) for base in ("x", "y") for p in range(1, r + 1)]
     assert g.vertex_names == tuple(f"{base}.{p}" for base, p in expected)
-    assert [(v.kind, v.base, v.copy) for v in g.vertices] == [
-        ("shadow", base, p) for base, p in expected
-    ]
+    for base in ("x", "y"):
+        assert shadows_of(g, base) == tuple(f"{base}.{p}" for p in range(1, r + 1))
     assert g.edges == expand_edge(("x", "y"), r)
     assert g.edge_count == r * (r + 1) // 2
 
 
 def test_duplicate_edges_figure_counts():
-    g = duplicate_edges(c4(), DuplicationTuple((1, 2, 3, 2)))
+    g = duplicate_edges(c4(), parse_tuple("1,2,3,2"))
     assert g.vertex_count == 10 and g.edge_count == 13
     assert shadows_of(g, "x1") == ("x1.1", "x1.2")
     assert shadows_of(g, "x3") == ("x3.1", "x3.2", "x3.3")
+
+
+def test_shadows_are_read_off_dotted_names():
+    # a base name may itself contain a dot: the shadows of a are a.1, a.2,
+    # and those of a.1 are a.1.1, a.1.2; a.0 and a.01 are nobody's shadows
+    g = build_graph(["a", "a.1", "b"], [("a", "b"), ("a.1", "b")])
+    dup = duplicate_edges(g, (2, 3))
+    assert shadows_of(dup, "a") == ("a.1", "a.2")
+    assert shadows_of(dup, "a.1") == ("a.1.1", "a.1.2", "a.1.3")
+    assert shadows_of(dup, "b") == ("b.1", "b.2", "b.3")
+    assert shadows_of(dup, "c") == ()
+    assert shadows_of(duplicate_vertices(g, 2), "a.1") == ("a.1.1", "a.1.2")
+    # copy order, not vertex order, and only names of the form base.p, p >= 1
+    mixed = build_graph(["a.10", "a.2", "a.0", "a.01", "a.x", "a.1"], [])
+    assert shadows_of(mixed, "a") == ("a.1", "a.2", "a.10")
+
+
+def test_tuple_text_round_trip_and_errors():
+    assert parse_tuple("1,2,3,2") == (1, 2, 3, 2)
+    assert parse_tuple("0") == (0,)
+    assert render_tuple((1, 2, 3, 2)) == "1,2,3,2"
+    for bad in ("", "1,,2", "1,x", "1.5", "1,-1"):
+        with pytest.raises(GraphError):
+            parse_tuple(bad)
 
 
 def test_duplicate_edges_identity_tuple():

@@ -9,7 +9,6 @@ from symcover.graphs import (
     Graph,
     GraphError,
     StarCompleteSpec,
-    Vertex,
     WhiskeredGraph,
     add_whiskers,
     attach_star_complete,
@@ -56,15 +55,19 @@ def test_build_graph_five_vertex_example():
 
 
 def test_vertex_provenance_validation():
-    from symcover.graphs import Vertex
-
-    assert Vertex("x1").kind == "base"
-    with pytest.raises(GraphError):
-        Vertex("x1.0", kind="shadow", base="x1", copy=0)
-    with pytest.raises(GraphError):
-        Vertex("w", kind="whisker", support="x1")
-    with pytest.raises(GraphError):
-        Vertex("x", kind="ghost")
+    # a vertex is a nonempty name; which vertices are whiskers, and at which
+    # support, is recorded by WhiskeredGraph alone
+    assert Graph(["x1"]).vertex_names == ("x1",)
+    with pytest.raises(GraphError, match="nonempty"):
+        Graph(["x1", ""])
+    base = build_graph(["a", "b"], [("a", "b")])
+    graph = build_graph(["a", "b", "c"], [("a", "b"), ("a", "c")])
+    w = WhiskeredGraph(graph=graph, base=base, whisker_edges={"a": (("a", "c"),)})
+    assert w.support_set == {"a"} and w.leaf_names() == ("c",)
+    with pytest.raises(GraphError, match="anchored"):
+        WhiskeredGraph(graph=graph, base=base, whisker_edges={"b": (("a", "c"),)})
+    with pytest.raises(GraphError, match="no whisker edges"):
+        WhiskeredGraph(graph=graph, base=base, whisker_edges={"a": ()})
 
 
 def test_build_graph_rejects_loops_and_duplicates():
@@ -207,7 +210,8 @@ def test_add_whiskers_c4():
     w = add_whiskers(c4(), ["x1"])
     assert w.graph.vertex_count == 5 and w.graph.edge_count == 5
     assert w.graph.edges[4] == ("x1", "x5")
-    assert w.graph.vertex("x5").kind == "whisker"
+    assert w.whisker_edges == {"x1": (("x1", "x5"),)}
+    assert w.leaf_names() == ("x5",)
     assert w.support_set == {"x1"}
 
 
@@ -250,13 +254,11 @@ def test_add_whiskers_rejects_bad_input():
 
 def test_whiskered_graph_rejects_whisker_edge_that_is_not_an_edge():
     # c is recorded as a whisker of a, but its only edge is b-c
-    leaf = Vertex(name="c", kind="whisker", support="a", index=1)
-    graph = Graph(["a", "b", leaf], [("a", "b"), ("b", "c")])
+    graph = build_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
     with pytest.raises(GraphError, match="not an edge"):
         WhiskeredGraph(
             graph=graph,
             base=build_graph(["a", "b"], [("a", "b")]),
-            support_set=frozenset({"a"}),
             whisker_edges={"a": (("a", "c"),)},
         )
 
@@ -329,7 +331,7 @@ def test_attach_k2_is_a_whisker():
     g, classification = attach_star_complete(c4(), StarCompleteSpec("x1", (2,)))
     assert classification == "non-pure"
     assert g == add_whiskers(c4(), ["x1"]).graph
-    assert g.vertex("x5").kind == "whisker"
+    assert g.neighbors("x5") == {"x1"}
 
 
 def test_attach_triangle_plus_whisker():
@@ -374,4 +376,8 @@ def test_json_round_trip_with_whiskers():
     ]
     back = graph_from_json_dict(json.loads(json.dumps(doc)))
     assert back == w.graph
-    assert back.vertex("x6").kind == "whisker"
+    # the loader checks the whiskers and returns names only; the document's
+    # whiskers are those of the record rebuilt around the loaded graph
+    rebuilt = WhiskeredGraph(graph=back, base=c4(), whisker_edges=w.whisker_edges)
+    assert rebuilt == w
+    assert graph_to_json_dict(back, rebuilt) == doc

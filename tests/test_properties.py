@@ -1,8 +1,12 @@
-"""Property tests on random small graphs.
+"""Property tests on random small graphs, and fuzzing of the parsers.
 
 The search in mode ii gives every tuple of an Aut(h) orbit the verdict of
 the orbit's first tuple; that rests on vertex decomposability being a graph
 invariant, which the relabeling and orbit properties below check directly.
+
+Every parser of user input either returns a value or raises its own error
+(``GraphError`` or ``IdealError``), which the CLI turns into exit code 2;
+any other exception would escape as a traceback.
 """
 
 from __future__ import annotations
@@ -17,9 +21,18 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from symcover.decomposability import DecompositionEngine, vertex_decomposable  # noqa: E402
-from symcover.duplication import duplicate_edges  # noqa: E402
+from symcover.duplication import duplicate_edges, parse_tuple, render_tuple  # noqa: E402
 from symcover.enumeration import automorphisms, edge_permutation  # noqa: E402
-from symcover.graphs import build_graph  # noqa: E402
+from symcover.graphs import (  # noqa: E402
+    GraphError,
+    add_whiskers,
+    build_graph,
+    graph_from_json_dict,
+    graph_to_json_dict,
+    parse_graph_text,
+    render_graph_text,
+)
+from symcover.ideals import IdealError, parse_ideal_text  # noqa: E402
 
 from oracles import brute_vertex_decomposable  # noqa: E402
 
@@ -72,3 +85,85 @@ def test_edge_duplication_verdict_is_constant_on_orbits(case):
         for e, target in enumerate(edge_permutation(sigma, edges)):
             image[target] = t[e]
         assert vertex_decomposable(duplicate_edges(g, image)) == verdict, (g.edges, sigma, t)
+
+
+# -- parsers ------------------------------------------------------------------
+
+NAMES = st.sampled_from(["a", "b", "a.1", "x1", ""])
+
+
+def lines(*shapes):
+    """Text of up to six lines, each drawn from one of ``shapes``."""
+    return st.lists(st.one_of(*shapes), max_size=6).map("\n".join)
+
+
+def headed(header, parts=NAMES):
+    return st.lists(parts, max_size=4).map(lambda words: " ".join([header, *words]))
+
+
+GRAPH_TEXT = st.one_of(st.text(), lines(
+    headed("vertices:"), headed("edge:"), st.sampled_from(["# note", "", "nonsense"])
+))
+# exponents stay small: a generator's slot mask has one bit per unit of
+# exponent, so a many-digit exponent costs memory rather than an exception
+FACTOR = st.tuples(NAMES, st.sampled_from(["", "^2", "^0", "^-1", "^", "^a", "^2^3"])).map("".join)
+IDEAL_TEXT = st.one_of(st.text(), lines(
+    headed("variables:"), st.lists(FACTOR, min_size=1, max_size=3).map("*".join),
+    st.sampled_from(["whole-ring", "1", "# note", ""]),
+))
+TUPLE_TEXT = st.one_of(st.text(), st.lists(
+    st.sampled_from(["0", "1", "2", "-1", "", "x", " 3", "1.5"]), min_size=1, max_size=5
+).map(",".join))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3) | NAMES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+WHISKER = st.fixed_dictionaries({}, optional={"leaf": NAMES | JSON_VALUES, "support": NAMES})
+GRAPH_DOCS = st.fixed_dictionaries({}, optional={
+    "vertices": st.lists(NAMES, max_size=4) | JSON_VALUES,
+    "edges": st.lists(st.lists(NAMES, max_size=3), max_size=4) | JSON_VALUES,
+    "whiskers": st.lists(WHISKER, max_size=3) | JSON_VALUES,
+})
+
+
+@pytest.mark.parametrize("parse, inputs, error", [
+    (parse_graph_text, GRAPH_TEXT, GraphError),
+    (graph_from_json_dict, GRAPH_DOCS, GraphError),
+    (parse_tuple, TUPLE_TEXT, GraphError),
+    (parse_ideal_text, IDEAL_TEXT, IdealError),
+], ids=["graph-text", "graph-json", "tuple", "ideal-text"])
+@PROPERTY
+@given(data=st.data())
+def test_parser_returns_or_raises_its_own_error(parse, inputs, error, data):
+    try:
+        parse(data.draw(inputs))
+    except error:
+        pass
+
+
+@st.composite
+def named_graphs(draw):
+    """Graphs over names without whitespace or control characters, in any edge order."""
+    token = st.text(st.characters(blacklist_categories=("C", "Z")), min_size=1, max_size=4)
+    names = draw(st.lists(token, unique=True, max_size=6))
+    pairs = [(u, v) for u, v in combinations(names, 2) if draw(st.booleans())]
+    return build_graph(names, draw(st.permutations(pairs)))
+
+
+@PROPERTY
+@given(named_graphs(), st.data())
+def test_graph_text_and_json_round_trip(g, data):
+    back = parse_graph_text(render_graph_text(g))
+    assert back == g and back.edges == g.edges
+    w = add_whiskers(g, data.draw(st.lists(st.sampled_from(g.vertex_names), max_size=3))
+                     if g.vertex_count else [])
+    back = graph_from_json_dict(graph_to_json_dict(w.graph, w))
+    assert back == w.graph and back.edges == w.graph.edges
+
+
+@PROPERTY
+@given(st.lists(st.integers(min_value=0), min_size=1, max_size=8).map(tuple))
+def test_tuple_text_round_trip(t):
+    assert parse_tuple(render_tuple(t)) == t
