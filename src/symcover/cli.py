@@ -68,20 +68,21 @@ def _parse_spec(text: str) -> StarCompleteSpec:
     return StarCompleteSpec(name, parsed)
 
 
-def _emit_report(report: ScenarioReport, fmt: str) -> None:
+def _emit(fmt: str, doc: object, text: str) -> None:
+    """Print one result: ``doc`` as indented JSON, or ``text`` as it stands."""
     if fmt == "json":
-        print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
+        print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        print(report.to_text(), end="")
+        print(text, end="")
 
 
 def _emit_reports(reports: list[ScenarioReport], fmt: str) -> None:
     """Print the reports in the order given, which for a search is enumeration order."""
     if fmt == "json":
-        print(json.dumps([r.to_json_dict() for r in reports], indent=2, sort_keys=True))
+        _emit(fmt, [r.to_json_dict() for r in reports], "")
     else:
-        for report in reports:
-            _emit_report(report, fmt)
+        for report in reports:  # one at a time: joined texts would raise peak memory
+            _emit(fmt, None, report.to_text())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,28 +147,22 @@ def _run_check_vd(args: argparse.Namespace) -> int:
         verdict = cert is not None
     else:  # the verdict alone never builds the certificate tree
         verdict = vertex_decomposable(graph)
-    if args.format == "json":
-        doc = {"vertex_decomposable": verdict}
-        if verdict and args.certificate:
-            doc["certificate"] = render_certificate(cert)
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(f"vertex decomposable: {'yes' if verdict else 'no'}")
-        if verdict and args.certificate:
-            print(render_certificate(cert))
+    doc = {"vertex_decomposable": verdict}
+    text = f"vertex decomposable: {'yes' if verdict else 'no'}\n"
+    if verdict and args.certificate:
+        doc["certificate"] = render_certificate(cert)
+        text += doc["certificate"] + "\n"
+    _emit(args.format, doc, text)
     return PASS if verdict else FAIL
 
 
 def _print_ideal(ideal, fmt: str) -> None:
-    if fmt == "json":
-        doc = {
-            "variables": list(ideal.variables),
-            "whole_ring": ideal.is_whole_ring,
-            "generators": [g.render(ideal.variables) for g in ideal.generators],
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(render_ideal_text(ideal), end="")
+    doc = {
+        "variables": list(ideal.variables),
+        "whole_ring": ideal.is_whole_ring,
+        "generators": [g.render(ideal.variables) for g in ideal.generators],
+    }
+    _emit(fmt, doc, render_ideal_text(ideal))
 
 
 def _run_verify(args: argparse.Namespace) -> int:
@@ -203,7 +198,7 @@ def _run_verify(args: argparse.Namespace) -> int:
             tuple_for(args.tuple_, graph.edge_count),
             tuple_for(args.tuple2, h.edge_count),
         )
-    _emit_report(report, args.format)
+    _emit(args.format, report.to_json_dict(), report.to_text())
     return PASS if report.overall_pass else FAIL
 
 
@@ -225,20 +220,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "linear-quotients":
             ideal = load_ideal(args.ideal)
             order = has_linear_quotients(ideal)
-            if args.format == "json":
-                doc = {
-                    "has_linear_quotients": order is not None,
-                    "order": [g.render(ideal.variables) for g in order] if order else None,
-                }
-                print(json.dumps(doc, indent=2, sort_keys=True))
-            else:
-                if order is None:
-                    print("linear quotients: no")
-                else:
-                    print("linear quotients: yes")
-                    for g in order:
-                        print(g.render(ideal.variables))
-            return PASS if order is not None else FAIL
+            found = order is not None
+            rendered = [g.render(ideal.variables) for g in order] if found else None
+            text = "".join(f"{line}\n" for line in
+                           [f"linear quotients: {'yes' if found else 'no'}", *(rendered or ())])
+            _emit(args.format, {"has_linear_quotients": found, "order": rendered}, text)
+            return PASS if found else FAIL
         if args.command == "verify":
             return _run_verify(args)
         if args.command == "search":

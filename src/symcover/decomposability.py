@@ -123,8 +123,7 @@ class DecompositionEngine:
         self._adj = list(rows)
         self._names = None if names is None else tuple(names)
         self._full = (1 << len(self._adj)) - 1
-        self._verdict: dict[int, bool] = {}
-        self._choice: dict[int, int] = {}
+        self._shedder: dict[int, int] = {}  # component mask -> vertex that decomposes it, or -1
         self._cert_cache: dict[int, DecompositionCertificate] = {}
 
     # -- mask arithmetic ----------------------------------------------------
@@ -211,21 +210,20 @@ class DecompositionEngine:
         return True
 
     def _vd_component(self, cmask: int) -> bool:
-        known = self._verdict.get(cmask)
+        known = self._shedder.get(cmask)
         if known is not None:
-            return known
-        verdict = False
+            return known >= 0
+        shedder = -1
         for v in self._candidates(cmask):
             if not self.sheds(cmask, v):
                 continue
             deletion = cmask & ~(1 << v)
             link = cmask & ~self._closed(v)
             if self.is_vd_mask(deletion) and self.is_vd_mask(link):
-                self._choice[cmask] = v
-                verdict = True
+                shedder = v
                 break
-        self._verdict[cmask] = verdict
-        return verdict
+        self._shedder[cmask] = shedder
+        return shedder >= 0
 
     def is_vd(self) -> bool:
         return self.is_vd_mask(self._full)
@@ -247,7 +245,7 @@ class DecompositionEngine:
             )
         else:
             # every component of the stripped core has an edge
-            v = self._choice[_bitgraph.components(self._adj, core)[0]]
+            v = self._shedder[_bitgraph.components(self._adj, core)[0]]
             deletion = self.certificate_for_mask(mask & ~(1 << v))
             link = self.certificate_for_mask(mask & ~self._closed(v))
             assert deletion is not None and link is not None
@@ -370,10 +368,6 @@ def linear_order_from_certificate(
     facets = _shelling_facets(cert)
     everything = set(graph.vertex_names)
     order = [Monomial.of({v: 1 for v in everything - facet}) for facet in facets]
-    if len(order) != len(ideal.generators) or set(order) != set(ideal.generators):
-        raise AssertionError(
-            "internal error: shelling facets do not match the minimal covers"
-        )
     if not is_linear_quotients_order(ideal, order):
         raise AssertionError(
             "internal error: certificate unwinding produced a non-linear-quotients order"

@@ -129,13 +129,23 @@ def duplicate_vertices(graph: Graph, k: int) -> Graph:
     return Graph(verts, edges)
 
 
+def split_shadow(name: str) -> tuple[str, int] | None:
+    """The base and copy p of a shadow name ``base.p``, or None for any other name.
+
+    The base is nonempty; p >= 1 is in ASCII digits with no leading zero.
+    """
+    stem, _, p = name.rpartition(".")
+    if stem and p.isascii() and p.isdigit() and p[0] != "0":
+        return stem, int(p)
+    return None
+
+
 def shadows_of(graph: Graph, base: str) -> tuple[str, ...]:
     """The shadows ``base.p`` (p >= 1) among the vertices of ``graph``, in copy order."""
     copies = sorted(
-        (int(p), name)
+        (shadow[1], name)
         for name in graph.vertex_names
-        for stem, _, p in [name.rpartition(".")]
-        if stem == base and p.isascii() and p.isdigit() and p[0] != "0"
+        if (shadow := split_shadow(name)) and shadow[0] == base
     )
     return tuple(name for _, name in copies)
 

@@ -6,8 +6,8 @@ relies on:
 * vertices are ordered (insertion order is canonical),
 * edges are ordered (insertion order defines the edge indexing e_1..e_m used
   by duplication tuples),
-* vertices are plain nonempty names; a name states what the rest of the
-  package needs to know of a vertex.  The shadow ``x.p`` of a duplication
+* vertices are plain names without whitespace; a name states what the rest
+  of the package needs to know of a vertex.  The shadow ``x.p`` of a duplication
   is named for its base ``x`` and copy ``p`` (see duplication.py), and
   ``WhiskeredGraph`` is the one record of which vertices are whiskers.
 
@@ -46,8 +46,8 @@ class Graph:
         names = tuple(vertices)
         index: dict[str, int] = {}
         for i, name in enumerate(names):
-            if not name:
-                raise GraphError("vertex name must be nonempty")
+            if name.split() != [name]:
+                raise GraphError(f"vertex name {name!r} must be nonempty and free of whitespace")
             if name in index:
                 raise GraphError(f"duplicate vertex name {name!r}")
             index[name] = i
@@ -446,9 +446,8 @@ def graph_to_json_dict(graph: Graph, whiskered: WhiskeredGraph | None = None) ->
 def graph_from_json_dict(doc: Mapping) -> Graph:
     """Read a graph document.
 
-    An optional ``whiskers`` list of {"support", "leaf"} entries is checked
-    (each leaf a degree-1 vertex with one support), and the plain graph is
-    returned.
+    An optional ``whiskers`` list of {"support", "leaf"} entries must make a
+    valid ``WhiskeredGraph``; the plain graph is returned.
     """
     # a string would otherwise be read as a list of its characters
     for key in ("vertices", "edges"):
@@ -459,22 +458,14 @@ def graph_from_json_dict(doc: Mapping) -> Graph:
     try:
         vertices = [str(v) for v in doc["vertices"]]
         edges = [(str(u), str(v)) for u, v in doc["edges"]]
-        whiskers = [(str(w["leaf"]), str(w["support"])) for w in doc.get("whiskers") or []]
+        whiskers = [(str(w["support"]), str(w["leaf"])) for w in doc.get("whiskers") or []]
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed graph document: {exc}") from exc
-    leaf_support: dict[str, str] = {}
-    for leaf, support in whiskers:
-        if leaf_support.setdefault(leaf, support) != support:
-            raise GraphError(f"whisker leaf {leaf!r} is listed with two supports")
     graph = build_graph(vertices, edges)
-    for leaf, support in leaf_support.items():
-        for role, name in (("leaf", leaf), ("support", support)):
-            if not graph.has_vertex(name):
-                raise GraphError(f"whisker {role} {name!r} is not a vertex")
-        if not graph.has_edge(leaf, support):
-            raise GraphError(f"whisker leaf {leaf!r} is not adjacent to its support {support!r}")
-        if graph.degree(leaf) != 1:
-            raise GraphError(f"whisker leaf {leaf!r} must have degree 1")
+    whisker_edges: dict[str, tuple[tuple[str, str], ...]] = {}
+    for support, leaf in whiskers:
+        whisker_edges[support] = whisker_edges.get(support, ()) + ((support, leaf),)
+    WhiskeredGraph(graph, graph.delete_vertices(leaf for _, leaf in whiskers), whisker_edges)
     return graph
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from . import _bitgraph
-from .duplication import duplicate_vertices
+from .duplication import duplicate_vertices, split_shadow
 from .graphs import Graph
 
 
@@ -283,15 +283,13 @@ def polarize(ideal: MonomialIdeal) -> MonomialIdeal:
 
 
 def depolarize(ideal: MonomialIdeal) -> MonomialIdeal:
-    """Undo one polarization layer by merging x.j slots back into x."""
+    """Undo one polarization layer: merge each slot x.j (see ``split_shadow``) into x."""
     if ideal.is_whole_ring:
         return ideal
 
     def base_of(slot: str) -> str:
-        stem, dot, tail = slot.rpartition(".")
-        if dot and tail.isdigit():
-            return stem
-        return slot
+        shadow = split_shadow(slot)
+        return shadow[0] if shadow else slot
 
     bases: list[str] = []
     for v in ideal.variables:

@@ -7,9 +7,9 @@ fails, the verifier never turns the conclusion into an assertion: it keeps
 running in exploration mode and records what it observed, because the
 interesting counterexamples are exactly the hypothesis-violating runs.
 
-Reports render deterministically; wall-clock duration is kept on the object
-but never rendered, so identical inputs give byte-identical output.  The
-CLI prints a search's reports in enumeration order, as they are yielded.
+Reports render deterministically: identical inputs give byte-identical
+output.  The CLI prints a search's reports in enumeration order, as they
+are yielded.
 
 The counterexample search runs on adjacency rows and vertex masks; named
 graphs appear only in its reports.  Mode i rests on an induced-subgraph
@@ -29,7 +29,6 @@ checked tuple by tuple.
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Iterator, Mapping, Sequence
@@ -88,27 +87,17 @@ class ScenarioReport:
     inputs: dict[str, str]
     steps: list[ScenarioStep] = field(default_factory=list)
     flags: list[str] = field(default_factory=list)
-    duration: float = 0.0
 
     @property
     def overall_pass(self) -> bool:
         return all(step.passed is not False for step in self.steps)
 
-    def observe(self, name: str, observed: str) -> ScenarioStep:
-        step = ScenarioStep(name, observed)
-        self.steps.append(step)
-        return step
+    def observe(self, name: str, observed: str) -> None:
+        self.steps.append(ScenarioStep(name, observed))
 
-    def expect(self, name: str, observed: str, expected: str) -> ScenarioStep:
-        step = ScenarioStep(name, observed, expected)
-        self.steps.append(step)
-        return step
-
-    def check(self, name: str, observed: str, asserting: bool) -> ScenarioStep:
+    def check(self, name: str, observed: str, asserting: bool) -> None:
         """Expect ``"yes"`` while the hypotheses hold, else only observe."""
-        if asserting:
-            return self.expect(name, observed, "yes")
-        return self.observe(name, observed)
+        self.steps.append(ScenarioStep(name, observed, "yes" if asserting else None))
 
     def flag(self, message: str) -> None:
         self.flags.append(message)
@@ -214,7 +203,6 @@ def verify_main_theorem(
     the given set is not a cycle cover the run downgrades to exploration.
     """
     _require_k(k_max)
-    started = time.perf_counter()
     cover = sorted(set(cycle_cover), key=graph.index_of)
     whiskered = add_whiskers(graph, cover, counts)
     report, asserting = _whiskering_report("main", graph, cover, f"k={k_max}", k_max=str(k_max))
@@ -235,7 +223,6 @@ def verify_main_theorem(
             else:
                 order = has_linear_quotients(ideal)
                 report.check(name, _yesno(order is not None), asserting)
-    report.duration = time.perf_counter() - started
     return report
 
 
@@ -251,14 +238,8 @@ def verify_edge_theorem(
     cycle cover, the edge-duplicated graph is asserted vertex decomposable;
     otherwise the verdict is recorded as an observation.
     """
-    started = time.perf_counter()
     cover = sorted(set(cycle_cover), key=graph.index_of)
     whiskered = add_whiskers(graph, cover, counts)
-    if len(t) != whiskered.graph.edge_count:
-        raise GraphError(
-            f"tuple length {len(t)} does not match the "
-            f"{whiskered.graph.edge_count} edges of the whiskered graph"
-        )
     text = render_tuple(t)
     report, is_cover = _whiskering_report("edge", graph, cover, f"t={text}", tuple=text)
     dominant = satisfies_whisker_dominance(whiskered, t)
@@ -269,7 +250,6 @@ def verify_edge_theorem(
 
     verdict = vertex_decomposable(duplicate_edges(whiskered.graph, t))
     report.check("vertex-decomposable", _yesno(verdict), asserting)
-    report.duration = time.perf_counter() - started
     return report
 
 
@@ -290,7 +270,6 @@ def verify_glue_star(
     attached_at = {s.attach_at for s in specs}
     if len(attached_at) < len(specs):
         raise GraphError("two attachments name the same vertex; give its cliques in one spec")
-    started = time.perf_counter()
     cover = sorted(set(cycle_cover), key=graph.index_of)
     spec_text = ";".join(f"{s.attach_at}:{','.join(map(str, s.clique_sizes))}" for s in specs)
     report, asserting = _whiskering_report(
@@ -316,7 +295,6 @@ def verify_glue_star(
     for k in range(1, k_max + 1):
         verdict = vertex_decomposable(duplicate_vertices(current, k))
         report.check(f"vertex-decomposable k={k}", _yesno(verdict), asserting)
-    report.duration = time.perf_counter() - started
     return report
 
 
@@ -335,7 +313,6 @@ def verify_glue_theorem(
     each factor and in the glued graph; when both factors pass, the glued
     duplication is asserted vertex decomposable.
     """
-    started = time.perf_counter()
     u, v = edge
     if not (g.has_edge(u, v) and h.has_edge(u, v)):
         raise GraphError(f"{{{u}, {v}}} must be an edge of both graphs")
@@ -391,7 +368,6 @@ def verify_glue_theorem(
     report.check("glued-vertex-decomposable", _yesno(verdict), asserting)
     if not factor_ok:
         report.flag("a factor failed its shedding sequence; glued check is exploration")
-    report.duration = time.perf_counter() - started
     return report
 
 

@@ -164,12 +164,14 @@ def test_usage_errors_exit_2(capsys, c4_path, tmp_path):
                         '"edges": [["x1", "x2"], ["x2", "x3"], ["x3", "x4"], ["x1", "x4"], '
                         f'["x1", "x5"]], "whiskers": [{whiskers}]}}')
         bad_whiskers.append(("check-vd", str(path)))
-    # a JSON string where a list belongs would be iterated as characters
+    # a JSON string where a list belongs would be iterated as characters;
+    # a name with whitespace could not be written in the text format
     not_lists = []
     for i, doc in enumerate(('{"vertices": "ab", "edges": []}',
                              '{"vertices": ["a", "b"], "edges": "ab"}',
                              '{"vertices": ["a", "b"], "edges": ["ab"]}',
-                             '{"edges": []}')):
+                             '{"edges": []}',
+                             '{"vertices": ["a b", "c"], "edges": [["a b", "c"]]}')):
         path = tmp_path / f"not_list{i}.graph"
         path.write_text(doc)
         not_lists.append(("check-vd", str(path)))
@@ -311,10 +313,27 @@ def fixture_argvs():
                            CERTIFICATE_DIGESTS.get(path.name), id=f"certificate-{path.name}")
 
 
-@pytest.mark.parametrize("argv, digests", fixture_argvs())
-def test_fixture_output_is_pinned(capsys, argv, digests):
-    assert digests is not None, "a new fixture needs its output pinned here"
+def assert_output_pinned(capsys, argv, digests):
     for fmt, digest in zip(("text", "json"), digests):
         main([*argv, "--format", fmt])
         out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest()[:12] == digest, fmt
+        assert hashlib.sha256(out.encode()).hexdigest()[:12] == digest, (argv, fmt)
+
+
+@pytest.mark.parametrize("argv, digests", fixture_argvs())
+def test_fixture_output_is_pinned(capsys, argv, digests):
+    assert digests is not None, "a new fixture needs its output pinned here"
+    assert_output_pinned(capsys, argv, digests)
+
+
+def test_outputs_no_fixture_reaches_are_pinned(capsys, tmp_path):
+    # a "no" from linear-quotients, and the whole-ring ideal of an edgeless graph
+    main(["symbolic-power", str(FIXTURES / "fish.graph"), "--k", "2"])
+    fish_square = tmp_path / "fish2.ideal"
+    fish_square.write_text(capsys.readouterr().out)
+    assert run(capsys, "linear-quotients", str(fish_square))[0] == 1
+    assert_output_pinned(capsys, ["linear-quotients", str(fish_square)],
+                         ("a881adfab145", "4de57f7fd9f0"))
+    edgeless = tmp_path / "edgeless.graph"
+    edgeless.write_text("vertices: a b\n")
+    assert_output_pinned(capsys, ["cover-ideal", str(edgeless)], ("3b304100cdfb", "a9155f7d54f6"))

@@ -282,6 +282,20 @@ def test_depolarize_round_trip():
         assert depolarize(polarize(ideal)) == ideal
 
 
+def test_depolarize_merges_only_shadow_names():
+    # a slot is read as duplication.shadows_of reads a shadow: nonempty base,
+    # ASCII digits, no leading zero
+    merged = MonomialIdeal(["a.1", "a.2", "b.1", "a.1.1"], [parse_monomial("a.1*a.2*b.1*a.1.1")])
+    assert gens(depolarize(merged)) == {"a^2*b*a.1"}
+    for name in (".1", "a.0", "a.01", "a.\u0663", "a.", "a.x"):
+        kept = MonomialIdeal([name, "b.1"], [parse_monomial(f"{name}*b.1")])
+        assert depolarize(kept) == MonomialIdeal([name, "b"], [Monomial.of({name: 1, "b": 1})])
+    # a variable that is no slot keeps its name, so the text parses back
+    assert render_ideal_text(depolarize(MonomialIdeal([".1"], [parse_monomial(".1")]))) == (
+        "variables: .1\n.1\n"
+    )
+
+
 # -- linear quotients ----------------------------------------------------------------------
 
 def test_linear_quotients_accepts_p3_cover():

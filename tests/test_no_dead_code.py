@@ -2,6 +2,7 @@
 
 A private function, class or constant that nothing in ``src/`` references
 besides its own definition is dead code; tests alone do not keep it alive.
+So is an attribute that ``src/`` assigns and never reads.
 """
 
 from __future__ import annotations
@@ -49,3 +50,16 @@ def test_every_private_module_name_is_used_in_src():
             if not any(name in names for j, names in enumerate(uses) if j != i):
                 dead.append(f"{module}: {name}")
     assert not dead, dead
+
+
+def test_every_stored_attribute_is_read_in_src():
+    stored, read = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Store):
+                    stored.append(f"{path.name}:{node.lineno}: {node.attr}")
+                else:
+                    read.add(node.attr)
+    unread = [where for where in stored if where.rsplit(" ", 1)[1] not in read]
+    assert not unread, unread

@@ -32,7 +32,14 @@ from symcover.graphs import (  # noqa: E402
     parse_graph_text,
     render_graph_text,
 )
-from symcover.ideals import IdealError, parse_ideal_text  # noqa: E402
+from symcover.ideals import (  # noqa: E402
+    IdealError,
+    Monomial,
+    MonomialIdeal,
+    depolarize,
+    parse_ideal_text,
+    polarize,
+)
 
 from oracles import brute_vertex_decomposable  # noqa: E402
 
@@ -144,23 +151,49 @@ def test_parser_returns_or_raises_its_own_error(parse, inputs, error, data):
 
 
 @st.composite
-def named_graphs(draw):
-    """Graphs over names without whitespace or control characters, in any edge order."""
-    token = st.text(st.characters(blacklist_categories=("C", "Z")), min_size=1, max_size=4)
-    names = draw(st.lists(token, unique=True, max_size=6))
+def named_graph_inputs(draw):
+    """Vertex names drawn from any text, and edges between them in any order.
+
+    Half the names are drawn with no separator or control character, so
+    most graphs are valid.
+    """
+    clean = st.text(st.characters(blacklist_categories=("Z", "Cc")), min_size=1, max_size=4)
+    names = draw(st.lists(clean | st.text(max_size=4), unique=True, max_size=6))
     pairs = [(u, v) for u, v in combinations(names, 2) if draw(st.booleans())]
-    return build_graph(names, draw(st.permutations(pairs)))
+    return names, draw(st.permutations(pairs))
 
 
 @PROPERTY
-@given(named_graphs(), st.data())
-def test_graph_text_and_json_round_trip(g, data):
+@given(named_graph_inputs(), st.data())
+def test_graph_text_and_json_round_trip(case, data):
+    # the text format splits names on whitespace, so no name may hold any
+    names, pairs = case
+    if any(not name or any(c.isspace() for c in name) for name in names):
+        with pytest.raises(GraphError):
+            build_graph(names, pairs)
+        return
+    g = build_graph(names, pairs)
     back = parse_graph_text(render_graph_text(g))
     assert back == g and back.edges == g.edges
     w = add_whiskers(g, data.draw(st.lists(st.sampled_from(g.vertex_names), max_size=3))
                      if g.vertex_count else [])
     back = graph_from_json_dict(graph_to_json_dict(w.graph, w))
     assert back == w.graph and back.edges == w.graph.edges
+
+
+@st.composite
+def ideals(draw):
+    """Monomial ideals over any nonempty variable names, exponents up to 3."""
+    names = draw(st.lists(st.text(min_size=1, max_size=3), unique=True, min_size=1, max_size=4))
+    exponents = st.lists(st.integers(0, 3), min_size=len(names), max_size=len(names))
+    gens = draw(st.lists(exponents.filter(any), min_size=1, max_size=5))
+    return MonomialIdeal(names, [Monomial.of(zip(names, e)) for e in gens])
+
+
+@PROPERTY
+@given(ideals())
+def test_depolarize_undoes_polarize(ideal):
+    assert depolarize(polarize(ideal)) == ideal
 
 
 @PROPERTY
