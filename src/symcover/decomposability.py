@@ -292,7 +292,11 @@ class SequenceStep:
 class SheddingSequenceTrace:
     steps: tuple[SequenceStep, ...]
     final_vd: bool
-    verdict: bool
+
+    @property
+    def verdict(self) -> bool:
+        """True iff each step sheds with a decomposable link and the final graph is decomposable."""
+        return self.final_vd and all(s.sheds and s.after_link_vd for s in self.steps)
 
 
 def check_shedding_sequence(graph: Graph, vertices: Sequence[str]) -> SheddingSequenceTrace:
@@ -327,9 +331,7 @@ def check_shedding_sequence(graph: Graph, vertices: Sequence[str]) -> SheddingSe
         )
         current &= ~(1 << v)
 
-    final_vd = engine.is_vd_mask(current)
-    verdict = final_vd and all(s.sheds and s.after_link_vd for s in steps)
-    return SheddingSequenceTrace(steps=tuple(steps), final_vd=final_vd, verdict=verdict)
+    return SheddingSequenceTrace(steps=tuple(steps), final_vd=engine.is_vd_mask(current))
 
 
 # ---------------------------------------------------------------------------

@@ -158,17 +158,20 @@ def dominance_rules(whiskered: WhiskeredGraph) -> tuple[DominanceRule, ...]:
 
     A rule is (positions of the support's base edges, positions of its
     whisker edges) in the whiskered graph's edge order; supports without
-    base edges give no rule.
+    base edges give no rule.  A base edge of a support joins it to a vertex
+    that is not its own leaf: another support's leaf has degree 1, so it is
+    never adjacent.
     """
-    position = {frozenset(e): i for i, e in enumerate(whiskered.graph.edges)}
+    graph = whiskered.graph
+    position = {frozenset(e): i for i, e in enumerate(graph.edges)}
     rules = []
-    for support in sorted(whiskered.support_set, key=whiskered.graph.index_of):
+    for support, leaves in whiskered.leaves.items():
         incident = tuple(
-            position[frozenset((support, nbr))] for nbr in whiskered.base.neighbors(support)
+            position[frozenset((support, nbr))]
+            for nbr in graph.neighbors(support) if nbr not in leaves
         )
         if incident:
-            whiskers = tuple(position[frozenset(e)] for e in whiskered.whisker_edges[support])
-            rules.append((incident, whiskers))
+            rules.append((incident, tuple(position[frozenset((support, x))] for x in leaves)))
     return tuple(rules)
 
 

@@ -8,8 +8,7 @@ the edge bitmask is maximized over all permutations that respect the
 partition.  That is exponential in the worst case but entirely adequate
 below ~8 vertices, which is all this package ever enumerates.  The same
 permutations give the automorphism group: an automorphism preserves the
-partition, so it is one of them.  ``edge_permutation`` lifts an
-automorphism to the edge positions it permutes.
+partition, so it is one of them.
 """
 
 from __future__ import annotations
@@ -102,16 +101,6 @@ def automorphisms(rows: Sequence[int]) -> list[tuple[int, ...]]:
         ):
             found.append(sigma)
     return found
-
-
-def edge_permutation(sigma: Sequence[int], edges: Sequence[tuple[int, int]]) -> tuple[int, ...]:
-    """An automorphism sigma acting on edge positions.
-
-    ``edges`` lists the graph's edges as vertex index pairs; edge i = {a, b}
-    goes to the position of {sigma[a], sigma[b]}.
-    """
-    position = {frozenset(e): i for i, e in enumerate(edges)}
-    return tuple(position[frozenset((sigma[a], sigma[b]))] for a, b in edges)
 
 
 @cache

@@ -9,7 +9,8 @@ relies on:
 * vertices are plain names without whitespace; a name states what the rest
   of the package needs to know of a vertex.  The shadow ``x.p`` of a duplication
   is named for its base ``x`` and copy ``p`` (see duplication.py), and
-  ``WhiskeredGraph`` is the one record of which vertices are whiskers.
+  ``WhiskeredGraph``, a map from each support to its leaves, is the one
+  record of which vertices are whiskers.
 
 Adjacency is held once, in ``Graph._rows``: one bitmask row per vertex over
 the vertex order, built in ``Graph.__init__``.  Every graph query reads those
@@ -244,42 +245,27 @@ def fresh_names(existing: Iterable[str], count: int, fallback_stem: str) -> list
 class WhiskeredGraph:
     """A graph together with the whiskers added to it.
 
-    ``graph`` is the whiskered graph, ``base`` the graph before whiskering,
-    and ``whisker_edges`` maps each support vertex to its whisker edges
-    (support, leaf).  Edge order in ``graph`` is: all base edges first, then
-    whisker edges grouped by support in canonical vertex order.  This record
-    is the one place that says which vertices are whiskers.
+    ``graph`` is the whiskered graph and ``leaves`` maps each support vertex
+    to its whisker leaves, in order; the base graph is ``graph`` without the
+    leaves.  Edge order in ``graph`` is: all base edges first, then whisker
+    edges grouped by support in canonical vertex order.  This record is the
+    one place that says which vertices are whiskers.
     """
 
     graph: Graph
-    base: Graph
-    whisker_edges: Mapping[str, tuple[tuple[str, str], ...]]
+    leaves: Mapping[str, tuple[str, ...]]
 
     def __post_init__(self) -> None:
-        for support, wedges in self.whisker_edges.items():
-            if not wedges:
-                raise GraphError(f"support vertex {support!r} has no whisker edges")
-            for sup, leaf in wedges:
-                if sup != support:
-                    raise GraphError(f"whisker edge ({sup}, {leaf}) is not anchored at {support!r}")
-                if not self.graph.has_edge(sup, leaf):
-                    raise GraphError(f"whisker edge ({sup}, {leaf}) is not an edge of the graph")
+        for s, leaves in self.leaves.items():
+            if not leaves:
+                raise GraphError(f"support vertex {s!r} has no whisker edges")
+            if len(set(leaves)) < len(leaves):
+                raise GraphError(f"support vertex {s!r} lists a whisker leaf twice")
+            for leaf in leaves:
+                if not self.graph.has_edge(s, leaf):
+                    raise GraphError(f"whisker edge ({s}, {leaf}) is not an edge of the graph")
                 if self.graph.degree(leaf) != 1:
                     raise GraphError(f"whisker vertex {leaf!r} must have degree 1")
-        stripped = self.graph.delete_vertices(self.leaf_names())
-        if stripped != self.base:
-            raise GraphError("removing the whiskers does not recover the base graph")
-
-    @property
-    def support_set(self) -> frozenset[str]:
-        """The vertices that received whiskers."""
-        return frozenset(self.whisker_edges)
-
-    def leaf_names(self) -> tuple[str, ...]:
-        return tuple(
-            leaf for support in sorted(self.whisker_edges, key=self.graph.index_of)
-            for _, leaf in self.whisker_edges[support]
-        )
 
 
 def add_whiskers(
@@ -307,14 +293,11 @@ def add_whiskers(
             raise GraphError(f"whisker count for {s!r} must be >= 1, got {c}")
         total += c
 
-    leaves = iter(fresh_names(graph.vertex_names, total, fallback_stem="w"))
-    whisker_edges = {s: tuple((s, next(leaves)) for _ in range(counts[s])) for s in support_list}
-    wedges = tuple(e for s in support_list for e in whisker_edges[s])
-    return WhiskeredGraph(
-        graph=Graph(graph.vertex_names + tuple(leaf for _, leaf in wedges), graph.edges + wedges),
-        base=graph,
-        whisker_edges=whisker_edges,
-    )
+    fresh = fresh_names(graph.vertex_names, total, fallback_stem="w")
+    names = iter(fresh)
+    leaves = {s: tuple(next(names) for _ in range(counts[s])) for s in support_list}
+    wedges = tuple((s, leaf) for s in support_list for leaf in leaves[s])
+    return WhiskeredGraph(Graph(graph.vertex_names + tuple(fresh), graph.edges + wedges), leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +420,7 @@ def graph_to_json_dict(graph: Graph, whiskered: WhiskeredGraph | None = None) ->
     if whiskered is not None:
         doc["whiskers"] = [
             {"support": support, "leaf": leaf}
-            for support in sorted(whiskered.whisker_edges, key=graph.index_of)
-            for _, leaf in whiskered.whisker_edges[support]
+            for support, leaves in whiskered.leaves.items() for leaf in leaves
         ]
     return doc
 
@@ -462,10 +444,10 @@ def graph_from_json_dict(doc: Mapping) -> Graph:
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed graph document: {exc}") from exc
     graph = build_graph(vertices, edges)
-    whisker_edges: dict[str, tuple[tuple[str, str], ...]] = {}
+    leaves: dict[str, tuple[str, ...]] = {}
     for support, leaf in whiskers:
-        whisker_edges[support] = whisker_edges.get(support, ()) + ((support, leaf),)
-    WhiskeredGraph(graph, graph.delete_vertices(leaf for _, leaf in whiskers), whisker_edges)
+        leaves[support] = leaves.get(support, ()) + (leaf,)
+    WhiskeredGraph(graph, leaves)
     return graph
 
 

@@ -45,16 +45,12 @@ from .duplication import (
     satisfies_whisker_dominance,
     shadows_of,
 )
-from .enumeration import (
-    as_graph,
-    automorphisms,
-    connected_graphs_up_to_isomorphism,
-    edge_permutation,
-)
+from .enumeration import as_graph, automorphisms, connected_graphs_up_to_isomorphism
 from .graphs import (
     Graph,
     GraphError,
     StarCompleteSpec,
+    WhiskeredGraph,
     add_whiskers,
     attach_star_complete,
     glue_along_edge,
@@ -159,19 +155,29 @@ def _require_k(k_max: int) -> None:
         raise GraphError(f"duplication bound k must be >= 1, got {k_max}")
 
 
+def _counts_text(whiskered: WhiskeredGraph) -> str:
+    """Whiskers per support in vertex order, as ``a=3,b=1``; empty when each has one."""
+    if all(len(leaves) == 1 for leaves in whiskered.leaves.values()):
+        return ""
+    return ",".join(f"{s}={len(leaves)}" for s, leaves in whiskered.leaves.items())
+
+
 def _whiskering_report(
-    kind: str, graph: Graph, cover: Sequence[str], id_tail: str, **inputs: str
+    kind: str, graph: Graph, cover: Sequence[str], id_tail: str, counts: str = "", **inputs: str
 ) -> tuple[ScenarioReport, bool]:
     """A verifier's report with its cycle-cover step, and whether S is one.
 
-    The id and the inputs start with the graph and the set S; ``id_tail``
-    and ``inputs`` add what the verifier takes besides.
+    The id and the inputs start with the graph, the set S and any whisker
+    ``counts``; ``id_tail`` and ``inputs`` add what the verifier takes besides.
     """
     digest = graph_digest(graph)
     s = "+".join(cover)
+    head = {"graph": digest, "edges": _edge_list(graph), "S": s or "(empty)"}
+    if counts:
+        head["counts"] = counts
+        id_tail = f"counts={counts}/{id_tail}"
     report = ScenarioReport(
-        scenario=f"verify-{kind}/{digest}/S={s or '-'}/{id_tail}",
-        inputs={"graph": digest, "edges": _edge_list(graph), "S": s or "(empty)", **inputs},
+        scenario=f"verify-{kind}/{digest}/S={s or '-'}/{id_tail}", inputs={**head, **inputs}
     )
     is_cover = graph.is_cycle_cover(cover)
     report.check("cycle-cover", _yesno(is_cover), is_cover)
@@ -203,9 +209,11 @@ def verify_main_theorem(
     the given set is not a cycle cover the run downgrades to exploration.
     """
     _require_k(k_max)
-    cover = sorted(set(cycle_cover), key=graph.index_of)
-    whiskered = add_whiskers(graph, cover, counts)
-    report, asserting = _whiskering_report("main", graph, cover, f"k={k_max}", k_max=str(k_max))
+    whiskered = add_whiskers(graph, cycle_cover, counts)
+    report, asserting = _whiskering_report(
+        "main", graph, list(whiskered.leaves), f"k={k_max}", _counts_text(whiskered),
+        k_max=str(k_max),
+    )
     h = whiskered.graph
     for k in range(1, k_max + 1):
         dup = duplicate_vertices(h, k)
@@ -238,10 +246,11 @@ def verify_edge_theorem(
     cycle cover, the edge-duplicated graph is asserted vertex decomposable;
     otherwise the verdict is recorded as an observation.
     """
-    cover = sorted(set(cycle_cover), key=graph.index_of)
-    whiskered = add_whiskers(graph, cover, counts)
+    whiskered = add_whiskers(graph, cycle_cover, counts)
     text = render_tuple(t)
-    report, is_cover = _whiskering_report("edge", graph, cover, f"t={text}", tuple=text)
+    report, is_cover = _whiskering_report(
+        "edge", graph, list(whiskered.leaves), f"t={text}", _counts_text(whiskered), tuple=text
+    )
     dominant = satisfies_whisker_dominance(whiskered, t)
     asserting = _no_zero_multiplicity(report, t) and is_cover and dominant
     report.check("whisker-dominance", _yesno(dominant), asserting)
@@ -513,12 +522,11 @@ def _explore_non_cycle_cover(
 
 def _search_tuple_violations(max_vertices: int, max_k: int) -> Iterator[ScenarioReport]:
     for graph, stem, inputs in _base_graphs(max_vertices):
-        cover = sorted(graph.minimum_cycle_cover(), key=graph.index_of)
-        whiskered = add_whiskers(graph, cover)
+        whiskered = add_whiskers(graph, graph.minimum_cycle_cover())
         h = whiskered.graph
         m = h.edge_count
         base = f"search-ii/{stem}"
-        inputs = {**inputs, "S": "+".join(cover)}
+        inputs = {**inputs, "S": "+".join(whiskered.leaves)}
         if max_k**m > _TUPLE_SPACE_CAP:
             report = ScenarioReport(scenario=f"{base}/skipped", inputs=inputs)
             report.flag(
@@ -559,12 +567,14 @@ def _tuple_image_orders(
     duplication by sigma.t, where (sigma.t)[sigma(e)] = t[e], through
     x.p -> sigma(x).p: the shadow-edge rule is symmetric in an edge's two
     ends.  So sigma.t is ``tuple(t[i] for i in order)`` with
-    order[sigma(e)] = e.  The identity is left out.
+    order[sigma(e)] = e, sigma(e) the position of {sigma(a), sigma(b)} for
+    e = {a, b}.  The identity is left out.
     """
+    position = {frozenset(e): i for i, e in enumerate(pairs)}
     orders = []
     for sigma in automorphisms(rows)[1:]:
         order = [0] * len(pairs)
-        for e, image in enumerate(edge_permutation(sigma, pairs)):
-            order[image] = e
+        for e, (a, b) in enumerate(pairs):
+            order[position[frozenset((sigma[a], sigma[b]))]] = e
         orders.append(order)
     return orders

@@ -164,6 +164,11 @@ def test_usage_errors_exit_2(capsys, c4_path, tmp_path):
                         '"edges": [["x1", "x2"], ["x2", "x3"], ["x3", "x4"], ["x1", "x4"], '
                         f'["x1", "x5"]], "whiskers": [{whiskers}]}}')
         bad_whiskers.append(("check-vd", str(path)))
+    # one leaf listed twice at its support
+    twice = tmp_path / "leaf_twice.graph"
+    twice.write_text('{"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["a", "c"]], '
+                     '"whiskers": [{"support": "a", "leaf": "c"}, {"support": "a", "leaf": "c"}]}')
+    bad_whiskers.append(("check-vd", str(twice)))
     # a JSON string where a list belongs would be iterated as characters;
     # a name with whitespace could not be written in the text format
     not_lists = []
@@ -200,6 +205,21 @@ def test_usage_errors_exit_2(capsys, c4_path, tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "no-such-command")
     assert exc.value.code == 2
+
+
+def test_verify_reports_whisker_counts(capsys, tmp_path):
+    # three whiskers at a make another graph and so another scenario; one
+    # whisker at each support is the default and keeps the default's bytes
+    path = tmp_path / "triangle.graph"
+    save_graph(build_graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")]), str(path))
+    for theorem in ("main", "edge"):
+        argv = ("verify", theorem, "--graph", str(path), "--S", "a", "--k", "1")
+        plain = run(capsys, *argv)
+        assert run(capsys, *argv, "--counts", "a=1") == plain
+        code, out, _ = run(capsys, *argv, "--counts", "a=3")
+        assert code == 0 and out != plain[1]
+        assert out.startswith(f"scenario: verify-{theorem}/a9d04d098b01/S=a/counts=a=3/")
+        assert "input S: a\ninput counts: a=3\n" in out
 
 
 def test_verify_edge_accepts_constant_k(capsys, c4_path):

@@ -16,9 +16,10 @@ from symcover.duplication import (
     satisfies_whisker_dominance,
     shadows_of,
 )
-from symcover.enumeration import automorphisms, edge_permutation
+from symcover.enumeration import automorphisms
 from symcover.graphs import GraphError, add_whiskers, build_graph
 from symcover.ideals import cover_ideal
+from symcover.scenarios import _tuple_image_orders
 
 from conftest import c4, cycle, fish, single_edge
 from oracles import are_isomorphic
@@ -160,14 +161,12 @@ def test_automorphisms_carry_edge_duplications_onto_each_other():
     for base, cover in cases:
         h = add_whiskers(base, cover).graph
         edges = [(h.index_of(u), h.index_of(v)) for u, v in h.edges]
-        group = automorphisms(h.adjacency_masks())
-        assert len(group) > 1, base.edges
-        for sigma in group:
-            perm = edge_permutation(sigma, edges)
+        group = automorphisms(h.adjacency_masks())[1:]
+        orders = _tuple_image_orders(h.adjacency_masks(), edges)
+        assert group and len(orders) == len(group), base.edges
+        for sigma, order in zip(group, orders):
             for t in product((1, 2, 3), repeat=len(edges)):
-                image = [0] * len(t)
-                for e, r in enumerate(t):
-                    image[perm[e]] = r
+                image = [t[i] for i in order]
                 source = shadow_positions(h.vertex_count, edges, t)
                 target = shadow_positions(h.vertex_count, edges, image)
                 to = {row: target[(sigma[x], p)] for (x, p), row in source.items()}

@@ -60,14 +60,21 @@ def test_vertex_provenance_validation():
     assert Graph(["x1"]).vertex_names == ("x1",)
     with pytest.raises(GraphError, match="nonempty"):
         Graph(["x1", ""])
-    base = build_graph(["a", "b"], [("a", "b")])
     graph = build_graph(["a", "b", "c"], [("a", "b"), ("a", "c")])
-    w = WhiskeredGraph(graph=graph, base=base, whisker_edges={"a": (("a", "c"),)})
-    assert w.support_set == {"a"} and w.leaf_names() == ("c",)
-    with pytest.raises(GraphError, match="anchored"):
-        WhiskeredGraph(graph=graph, base=base, whisker_edges={"b": (("a", "c"),)})
+    w = WhiskeredGraph(graph=graph, leaves={"a": ("c",)})
+    assert list(w.leaves) == ["a"] and w.leaves["a"] == ("c",)
     with pytest.raises(GraphError, match="no whisker edges"):
-        WhiskeredGraph(graph=graph, base=base, whisker_edges={"a": ()})
+        WhiskeredGraph(graph=graph, leaves={"a": ()})
+
+
+def test_whiskered_graph_rejects_a_leaf_listed_twice():
+    graph = build_graph(["a", "b", "c"], [("a", "b"), ("a", "c")])
+    with pytest.raises(GraphError, match="twice"):
+        WhiskeredGraph(graph=graph, leaves={"a": ("c", "c")})
+    doc = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["a", "c"]],
+           "whiskers": [{"support": "a", "leaf": "c"}, {"support": "a", "leaf": "c"}]}
+    with pytest.raises(GraphError, match="twice"):
+        graph_from_json_dict(doc)
 
 
 def test_build_graph_rejects_loops_and_duplicates():
@@ -210,15 +217,13 @@ def test_add_whiskers_c4():
     w = add_whiskers(c4(), ["x1"])
     assert w.graph.vertex_count == 5 and w.graph.edge_count == 5
     assert w.graph.edges[4] == ("x1", "x5")
-    assert w.whisker_edges == {"x1": (("x1", "x5"),)}
-    assert w.leaf_names() == ("x5",)
-    assert w.support_set == {"x1"}
+    assert w.leaves == {"x1": ("x5",)}
 
 
 def test_add_whiskers_empty_support():
     w = add_whiskers(c4(), [])
     assert w.graph == c4()
-    assert not w.whisker_edges
+    assert not w.leaves
 
 
 def test_add_whiskers_fish_names_follow_figure():
@@ -234,11 +239,12 @@ def test_add_whiskers_round_trip():
         supports = [v for v in g.vertex_names if rng.random() < 0.5]
         counts = {s: rng.randint(1, 3) for s in supports}
         w = add_whiskers(g, supports, counts)
-        assert w.graph.delete_vertices(w.leaf_names()) == g
+        assert w.graph.delete_vertices(x for leaves in w.leaves.values() for x in leaves) == g
+        assert list(w.leaves) == [v for v in g.vertex_names if v in counts]
         for s in supports:
-            assert len(w.whisker_edges[s]) == counts[s]
-            for sup, leaf in w.whisker_edges[s]:
-                assert w.graph.degree(leaf) == 1 and sup == s
+            assert len(w.leaves[s]) == counts[s]
+            for leaf in w.leaves[s]:
+                assert w.graph.degree(leaf) == 1 and w.graph.has_edge(s, leaf)
 
 
 def test_add_whiskers_rejects_bad_input():
@@ -256,11 +262,7 @@ def test_whiskered_graph_rejects_whisker_edge_that_is_not_an_edge():
     # c is recorded as a whisker of a, but its only edge is b-c
     graph = build_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
     with pytest.raises(GraphError, match="not an edge"):
-        WhiskeredGraph(
-            graph=graph,
-            base=build_graph(["a", "b"], [("a", "b")]),
-            whisker_edges={"a": (("a", "c"),)},
-        )
+        WhiskeredGraph(graph=graph, leaves={"a": ("c",)})
 
 
 def test_whisker_names_fall_back_when_not_numbered():
@@ -378,6 +380,6 @@ def test_json_round_trip_with_whiskers():
     assert back == w.graph
     # the loader checks the whiskers and returns names only; the document's
     # whiskers are those of the record rebuilt around the loaded graph
-    rebuilt = WhiskeredGraph(graph=back, base=c4(), whisker_edges=w.whisker_edges)
+    rebuilt = WhiskeredGraph(graph=back, leaves=w.leaves)
     assert rebuilt == w
     assert graph_to_json_dict(back, rebuilt) == doc

@@ -2,7 +2,9 @@
 
 A private function, class or constant that nothing in ``src/`` references
 besides its own definition is dead code; tests alone do not keep it alive.
-So is an attribute that ``src/`` assigns and never reads.
+So is a public function or class that ``__init__.py`` does not export and
+nothing else in ``src/`` references, and an attribute that ``src/`` assigns
+and never reads.
 """
 
 from __future__ import annotations
@@ -35,7 +37,9 @@ def used_names(node: ast.stmt) -> set[str]:
     return used
 
 
-def test_every_private_module_name_is_used_in_src():
+def unreferenced(selected) -> list[str]:
+    """Module-level names, chosen by ``selected(node, name)``, that no other
+    top-level statement in ``src/`` references."""
     statements = [
         (path.name, node)
         for path in sorted(SRC.glob("*.py"))
@@ -45,10 +49,31 @@ def test_every_private_module_name_is_used_in_src():
     dead = []
     for i, (module, node) in enumerate(statements):
         for name in defined_names(node):
-            if not name.startswith("_") or name.endswith("__"):
+            if not selected(node, name):
                 continue
             if not any(name in names for j, names in enumerate(uses) if j != i):
                 dead.append(f"{module}: {name}")
+    return dead
+
+
+def test_every_private_module_name_is_used_in_src():
+    dead = unreferenced(lambda node, name: name.startswith("_") and not name.endswith("__"))
+    assert not dead, dead
+
+
+def test_every_public_name_outside_the_api_is_used_in_src():
+    # a public function or class that __init__.py does not export has no
+    # caller but the package itself
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    exported = {
+        alias.name
+        for node in init.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    dead = unreferenced(
+        lambda node, name: isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not name.startswith("_") and name not in exported
+    )
     assert not dead, dead
 
 

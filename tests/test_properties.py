@@ -22,7 +22,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from symcover.decomposability import DecompositionEngine, vertex_decomposable  # noqa: E402
 from symcover.duplication import duplicate_edges, parse_tuple, render_tuple  # noqa: E402
-from symcover.enumeration import automorphisms, edge_permutation  # noqa: E402
+from symcover.enumeration import automorphisms  # noqa: E402
 from symcover.graphs import (  # noqa: E402
     GraphError,
     add_whiskers,
@@ -40,6 +40,7 @@ from symcover.ideals import (  # noqa: E402
     parse_ideal_text,
     polarize,
 )
+from symcover.scenarios import _tuple_image_orders  # noqa: E402
 
 from oracles import brute_vertex_decomposable  # noqa: E402
 
@@ -87,10 +88,9 @@ def test_edge_duplication_verdict_is_constant_on_orbits(case):
     g, t = case
     edges = [(g.index_of(u), g.index_of(v)) for u, v in g.edges]
     verdict = vertex_decomposable(duplicate_edges(g, t))
-    for sigma in automorphisms(g.adjacency_masks()):
-        image = [0] * len(t)
-        for e, target in enumerate(edge_permutation(sigma, edges)):
-            image[target] = t[e]
+    rows = g.adjacency_masks()
+    for sigma, order in zip(automorphisms(rows)[1:], _tuple_image_orders(rows, edges)):
+        image = [t[i] for i in order]
         assert vertex_decomposable(duplicate_edges(g, image)) == verdict, (g.edges, sigma, t)
 
 
