@@ -124,9 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edge", help="shared edge u,v (glue only)")
     p.add_argument("--S", default="", help="comma-separated vertex set")
     p.add_argument("--counts", help="whiskers per vertex, e.g. x1=2,x3=1")
-    p.add_argument("--tuple", dest="tuple_", help="duplication tuple, e.g. 1,2,3,2")
+    p.add_argument("--tuple", help="duplication tuple, e.g. 1,2,3,2")
     p.add_argument("--tuple2", help="duplication tuple of the second factor (glue only)")
-    p.add_argument("--k", type=int, default=2, help="duplication bound (main/star)")
+    p.add_argument("--k", type=int, default=2,
+                   help="duplication bound (main/star), or the constant tuple (edge/glue)")
     p.add_argument("--spec", action="append", default=[],
                    help="star attachment vertex:size,size (repeatable)")
     add_format(p)
@@ -166,6 +167,11 @@ def _print_ideal(ideal, fmt: str) -> None:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
+    reads = {"main": ("S", "counts"), "edge": ("S", "counts", "tuple"), "star": ("S", "spec"),
+             "glue": ("graph2", "edge", "tuple", "tuple2")}[args.theorem]
+    for flag in ("S", "counts", "tuple", "spec", "graph2", "edge", "tuple2"):
+        if getattr(args, flag) and flag not in reads:
+            raise GraphError(f"--{flag} does not apply to verify {args.theorem}")
     graph = load_graph(args.graph)
     names = _parse_names(args.S)
     counts = _parse_counts(args.counts)
@@ -179,7 +185,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     elif args.theorem == "edge":
         whiskered_edges = add_whiskers(graph, names, counts).graph.edge_count
         report = verify_edge_theorem(graph, names, counts,
-                                     tuple_for(args.tuple_, whiskered_edges))
+                                     tuple_for(args.tuple, whiskered_edges))
     elif args.theorem == "star":
         specs = [_parse_spec(s) for s in args.spec]
         report = verify_glue_star(graph, names, specs, k_max=args.k)
@@ -195,7 +201,7 @@ def _run_verify(args: argparse.Namespace) -> int:
             graph,
             h,
             (u, v),
-            tuple_for(args.tuple_, graph.edge_count),
+            tuple_for(args.tuple, graph.edge_count),
             tuple_for(args.tuple2, h.edge_count),
         )
     _emit(args.format, report.to_json_dict(), report.to_text())

@@ -24,6 +24,9 @@ Candidate shedding vertices are tried in canonical vertex order, neighbors
 of simplicial vertices first.  Those always shed by the dominated-pair exit:
 a simplicial s adjacent to x has N[s] inside N[x].  This mirrors the way
 whiskered graphs are actually decomposed and finds certificates fast.
+
+The engine holds only the adjacency rows and that memo.  Certificates are
+read off the memo, and every walk over one keeps its own stack.
 """
 
 from __future__ import annotations
@@ -58,17 +61,20 @@ class CertificateNode:
 DecompositionCertificate = CertificateLeaf | CertificateNode
 
 
-def render_certificate(cert: DecompositionCertificate, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(cert, CertificateLeaf):
-        return f"{pad}simplex {{{', '.join(cert.vertices)}}}"
-    lines = [
-        f"{pad}shed {cert.shedding}",
-        f"{pad}  del:",
-        render_certificate(cert.deletion, indent + 2),
-        f"{pad}  link:",
-        render_certificate(cert.link, indent + 2),
-    ]
+def render_certificate(cert: DecompositionCertificate) -> str:
+    """One stage per line, each branch four spaces deeper than its node."""
+    lines = []
+    stack: list[tuple[str, DecompositionCertificate | str]] = [("", cert)]
+    while stack:
+        pad, node = stack.pop()
+        if isinstance(node, str):
+            lines.append(pad + node)
+        elif isinstance(node, CertificateLeaf):
+            lines.append(f"{pad}simplex {{{', '.join(node.vertices)}}}")
+        else:
+            inner = pad + "    "
+            stack += [(inner, node.link), (pad, "  link:"), (inner, node.deletion),
+                      (pad, "  del:"), (pad, f"shed {node.shedding}")]
     return "\n".join(lines)
 
 
@@ -82,24 +88,21 @@ def validate_certificate(graph: Graph, cert: DecompositionCertificate) -> bool:
     vertex set of every node above them.
     """
     engine = DecompositionEngine(graph.adjacency_masks())
-
-    def holds(mask: int, node: DecompositionCertificate) -> bool:
+    stack = [(graph.full_mask(), cert)]
+    while stack:
+        mask, node = stack.pop()
         if isinstance(node, CertificateLeaf):
-            return (
-                frozenset(node.vertices) == frozenset(graph.names_of(mask))
-                and not _bitgraph.isolated_stripped(engine._adj, mask)
-            )
+            if (frozenset(node.vertices) != frozenset(graph.names_of(mask))
+                    or _bitgraph.isolated_stripped(engine._adj, mask)):
+                return False
+            continue
         if not graph.has_vertex(node.shedding):
             return False
         v = graph.index_of(node.shedding)
-        return (
-            bool(mask >> v & 1)
-            and engine.sheds(mask, v)
-            and holds(mask & ~(1 << v), node.deletion)
-            and holds(mask & ~engine._closed(v), node.link)
-        )
-
-    return holds(graph.full_mask(), cert)
+        if not (mask >> v & 1 and engine.sheds(mask, v)):
+            return False
+        stack += [(mask & ~engine._closed(v), node.link), (mask & ~(1 << v), node.deletion)]
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -108,25 +111,21 @@ def validate_certificate(graph: Graph, cert: DecompositionCertificate) -> bool:
 class DecompositionEngine:
     """Exact vertex-decomposability over induced subgraphs of one graph.
 
-    The ambient graph is given by its adjacency rows (bitmasks over vertex
-    indices); ``names`` is needed only to build certificates, which name
-    their vertices.  One engine instance shares its memo tables across every
-    query about induced subgraphs of the ambient graph, which is what the
-    sequence checker and the scenario search rely on.  The search in mode i
-    asks one engine on W_k, the k-fold duplication of G whiskered at every
+    The engine holds the ambient graph's adjacency rows (bitmasks over
+    vertex indices) and one memo, ``_shedder``, from each decided component
+    mask to the vertex that decomposes it, or -1.  Every query about an
+    induced subgraph shares that memo, which the sequence checker, the
+    certificate reader and the scenario search rely on.  The search in mode
+    i asks one engine on W_k, the k-fold duplication of G whiskered at every
     vertex, about every whisker set S: whiskering G at S and duplicating k
     times gives the induced subgraph of W_k on the shadows of G and of the
     leaves at S.
     """
 
-    def __init__(self, rows: Sequence[int], names: Sequence[str] | None = None):
+    def __init__(self, rows: Sequence[int]):
         self._adj = list(rows)
-        self._names = None if names is None else tuple(names)
         self._full = (1 << len(self._adj)) - 1
-        self._shedder: dict[int, int] = {}  # component mask -> vertex that decomposes it, or -1
-        self._cert_cache: dict[int, DecompositionCertificate] = {}
-
-    # -- mask arithmetic ----------------------------------------------------
+        self._shedder: dict[int, int] = {}
 
     def _closed(self, v: int) -> int:
         return self._adj[v] | (1 << v)
@@ -202,59 +201,24 @@ class DecompositionEngine:
         return [*_bitgraph.bits(marked), *_bitgraph.bits(mask & ~marked)]
 
     def is_vd_mask(self, mask: int) -> bool:
-        """Vertex decomposability of the induced subgraph on ``mask``."""
-        core = _bitgraph.isolated_stripped(self._adj, mask)
-        for comp in _bitgraph.components(self._adj, core):
-            if not self._vd_component(comp):
+        """Vertex decomposability of the induced subgraph on ``mask``: a
+        component's shedder is memoized once its deletion and link are decided."""
+        for comp in _bitgraph.components(self._adj, _bitgraph.isolated_stripped(self._adj, mask)):
+            shedder = self._shedder.get(comp)
+            if shedder is None:
+                shedder = -1
+                for v in self._candidates(comp):
+                    if (self.sheds(comp, v) and self.is_vd_mask(comp & ~(1 << v))
+                            and self.is_vd_mask(comp & ~self._closed(v))):
+                        shedder = v
+                        break
+                self._shedder[comp] = shedder
+            if shedder < 0:
                 return False
         return True
 
-    def _vd_component(self, cmask: int) -> bool:
-        known = self._shedder.get(cmask)
-        if known is not None:
-            return known >= 0
-        shedder = -1
-        for v in self._candidates(cmask):
-            if not self.sheds(cmask, v):
-                continue
-            deletion = cmask & ~(1 << v)
-            link = cmask & ~self._closed(v)
-            if self.is_vd_mask(deletion) and self.is_vd_mask(link):
-                shedder = v
-                break
-        self._shedder[cmask] = shedder
-        return shedder >= 0
-
     def is_vd(self) -> bool:
         return self.is_vd_mask(self._full)
-
-    # -- certificates ---------------------------------------------------------
-
-    def certificate_for_mask(self, mask: int) -> DecompositionCertificate | None:
-        if self._names is None:
-            raise GraphError("certificates need the vertex names of the engine's graph")
-        if not self.is_vd_mask(mask):
-            return None
-        cached = self._cert_cache.get(mask)
-        if cached is not None:
-            return cached
-        core = _bitgraph.isolated_stripped(self._adj, mask)
-        if not core:
-            cert: DecompositionCertificate = CertificateLeaf(
-                tuple(self._names[i] for i in _bitgraph.bits(mask))
-            )
-        else:
-            # every component of the stripped core has an edge
-            v = self._shedder[_bitgraph.components(self._adj, core)[0]]
-            deletion = self.certificate_for_mask(mask & ~(1 << v))
-            link = self.certificate_for_mask(mask & ~self._closed(v))
-            assert deletion is not None and link is not None
-            cert = CertificateNode(self._names[v], deletion, link)
-        self._cert_cache[mask] = cert
-        return cert
-
-    def certificate(self) -> DecompositionCertificate | None:
-        return self.certificate_for_mask(self._full)
 
 
 def is_shedding_vertex(graph: Graph, name: str) -> bool:
@@ -265,8 +229,31 @@ def is_shedding_vertex(graph: Graph, name: str) -> bool:
 
 
 def is_vertex_decomposable(graph: Graph) -> DecompositionCertificate | None:
-    """Certificate of vertex decomposability, or None when there is none."""
-    return DecompositionEngine(graph.adjacency_masks(), graph.vertex_names).certificate()
+    """Certificate of vertex decomposability, or None when there is none.
+
+    Each stage sheds the memoized vertex of its first component.  Stages
+    are gathered on a stack, then built smallest mask first, so branches
+    that reach one mask share its subtree.
+    """
+    engine = DecompositionEngine(graph.adjacency_masks())
+    if not engine.is_vd():
+        return None
+    shed: dict[int, int] = {}  # stage mask -> the vertex it sheds, or -1 when edgeless
+    stack = [graph.full_mask()]
+    while stack:
+        mask = stack.pop()
+        if mask in shed:
+            continue
+        core = _bitgraph.isolated_stripped(engine._adj, mask)
+        # every component of the core has an edge and a memoized shedder
+        v = shed[mask] = engine._shedder[_bitgraph.components(engine._adj, core)[0]] if core else -1
+        if core:
+            stack += [mask & ~(1 << v), mask & ~engine._closed(v)]
+    built: dict[int, DecompositionCertificate] = {}
+    for mask, v in sorted(shed.items()):  # a branch is a submask, so it is built first
+        built[mask] = CertificateLeaf(graph.names_of(mask)) if v < 0 else CertificateNode(
+            graph.vertex_names[v], built[mask & ~(1 << v)], built[mask & ~engine._closed(v)])
+    return built[graph.full_mask()]
 
 
 def vertex_decomposable(graph: Graph) -> bool:
@@ -341,14 +328,18 @@ def _shelling_facets(cert: DecompositionCertificate) -> list[frozenset[str]]:
     """Unwind a certificate into a shelling of the independence complex.
 
     Facets of the deletion branch come first, then the link branch's facets
-    each extended by the shedding vertex; at an edgeless stage the whole
-    vertex set is the unique facet.
+    each extended by the shedding vertex.  So each leaf, in order, gives one
+    facet: its vertices and every vertex shed above it on the way into a link.
     """
-    if isinstance(cert, CertificateLeaf):
-        return [frozenset(cert.vertices)]
-    deletion_facets = _shelling_facets(cert.deletion)
-    link_facets = _shelling_facets(cert.link)
-    return deletion_facets + [f | {cert.shedding} for f in link_facets]
+    facets = []
+    stack = [(cert, frozenset())]
+    while stack:
+        node, shed = stack.pop()
+        if isinstance(node, CertificateLeaf):
+            facets.append(shed.union(node.vertices))
+        else:
+            stack += [(node.link, shed | {node.shedding}), (node.deletion, shed)]
+    return facets
 
 
 def linear_order_from_certificate(

@@ -262,6 +262,8 @@ class WhiskeredGraph:
             if len(set(leaves)) < len(leaves):
                 raise GraphError(f"support vertex {s!r} lists a whisker leaf twice")
             for leaf in leaves:
+                if leaf in self.leaves:
+                    raise GraphError(f"whisker leaf {leaf!r} is also a support")
                 if not self.graph.has_edge(s, leaf):
                     raise GraphError(f"whisker edge ({s}, {leaf}) is not an edge of the graph")
                 if self.graph.degree(leaf) != 1:

@@ -15,6 +15,7 @@ from itertools import combinations, permutations
 from typing import Sequence
 
 from symcover._bitgraph import bits
+from symcover.decomposability import CertificateLeaf
 from symcover.enumeration import (
     EdgeSet,
     _class_respecting_permutations,
@@ -227,6 +228,21 @@ def brute_vertex_decomposable(graph: Graph) -> bool:
         if brute_vertex_decomposable(deletion) and brute_vertex_decomposable(link):
             return True
     return False
+
+
+def recursive_render_certificate(cert, indent: int = 0) -> str:
+    """The certificate rendering as a plain recursion, two spaces per level."""
+    pad = "  " * indent
+    if isinstance(cert, CertificateLeaf):
+        return f"{pad}simplex {{{', '.join(cert.vertices)}}}"
+    lines = [
+        f"{pad}shed {cert.shedding}",
+        f"{pad}  del:",
+        recursive_render_certificate(cert.deletion, indent + 2),
+        f"{pad}  link:",
+        recursive_render_certificate(cert.link, indent + 2),
+    ]
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,11 @@ def test_usage_errors_exit_2(capsys, c4_path, tmp_path):
     twice.write_text('{"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["a", "c"]], '
                      '"whiskers": [{"support": "a", "leaf": "c"}, {"support": "a", "leaf": "c"}]}')
     bad_whiskers.append(("check-vd", str(twice)))
+    # each vertex a leaf of the other, so each leaf is also a support
+    crossed = tmp_path / "leaf_is_support.graph"
+    crossed.write_text('{"vertices": ["a", "b"], "edges": [["a", "b"]], '
+                       '"whiskers": [{"support": "a", "leaf": "b"}, {"support": "b", "leaf": "a"}]}')
+    bad_whiskers.append(("check-vd", str(crossed)))
     # a JSON string where a list belongs would be iterated as characters;
     # a name with whitespace could not be written in the text format
     not_lists = []
@@ -198,6 +203,16 @@ def test_usage_errors_exit_2(capsys, c4_path, tmp_path):
         # a shared edge names exactly two vertices
         ("verify", "glue", "--graph", str(FIXTURES / "glue_g.graph"),
          "--graph2", str(FIXTURES / "glue_h.graph"), "--edge", "x1,x2,bogus"),
+        ("verify", "glue", "--graph", c4_path),
+        # a flag the theorem does not read
+        ("verify", "star", "--graph", c4_path, "--S", "x1", "--spec", "x1:3,2", "--k", "1",
+         "--counts", "x1=3", "--tuple", "9,9"),
+        ("verify", "main", "--graph", c4_path, "--S", "x1", "--tuple", "1,1,1,1,1"),
+        ("verify", "edge", "--graph", c4_path, "--S", "x1", "--spec", "x1:2"),
+        ("verify", "star", "--graph", c4_path, "--S", "x1", "--spec", "x1:2", "--edge", "x1,x2"),
+        ("verify", "glue", "--graph", str(FIXTURES / "glue_g.graph"),
+         "--graph2", str(FIXTURES / "glue_h.graph"), "--edge", "x1,x2", "--S", "x3",
+         "--counts", "x3=2", "--spec", "x1:3"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from symcover.cli import main
 from symcover.decomposability import (
     CertificateLeaf,
     CertificateNode,
@@ -17,7 +18,7 @@ from symcover.decomposability import (
     vertex_decomposable,
 )
 from symcover.duplication import duplicate_edges, duplicate_vertices
-from symcover.graphs import GraphError, Graph, add_whiskers, build_graph
+from symcover.graphs import GraphError, Graph, add_whiskers, build_graph, save_graph
 from symcover.ideals import cover_ideal, has_linear_quotients, is_linear_quotients_order
 
 from conftest import c4, fish, p3, single_edge, whiskered_fish
@@ -329,17 +330,30 @@ def test_engine_without_names_gives_verdicts_but_no_certificates():
     g = whiskered_fish()
     engine = DecompositionEngine(g.adjacency_masks())
     assert engine.is_vd()
-    with pytest.raises(GraphError):
-        engine.certificate()
-    named = DecompositionEngine(g.adjacency_masks(), g.vertex_names)
-    assert named.certificate() == is_vertex_decomposable(g)
+    assert validate_certificate(g, is_vertex_decomposable(g))
 
 
 def test_engine_reuses_memo_across_queries():
     wf = whiskered_fish()
-    engine = DecompositionEngine(wf.adjacency_masks(), wf.vertex_names)
+    engine = DecompositionEngine(wf.adjacency_masks())
     assert engine.is_vd()
     full = wf.full_mask()
     for v in wf.vertex_names:
         engine.is_vd_mask(full & ~(1 << wf.index_of(v)))
     assert engine.is_vd()
+
+
+def test_deep_graphs_are_decided_within_the_recursion_limit(capsys, tmp_path):
+    # the engine recurses once per shedding step (P_n sheds two vertices a
+    # step) and every certificate walk keeps its own stack
+    names = [f"p{i}" for i in range(1000)]
+    path = tmp_path / "p1000.graph"
+    save_graph(build_graph(names, list(zip(names, names[1:]))), str(path))
+    assert main(["check-vd", str(path)]) == 0
+    assert capsys.readouterr().out == "vertex decomposable: yes\n"
+    names = [f"k{i}" for i in range(600)]
+    clique = build_graph(names, [(a, b) for i, a in enumerate(names) for b in names[i + 1:]])
+    cert = is_vertex_decomposable(clique)
+    assert validate_certificate(clique, cert)
+    assert len(render_certificate(cert).splitlines()) == 4 * 600 - 3
+    assert len(linear_order_from_certificate(clique, cert)) == 600

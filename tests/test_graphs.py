@@ -77,6 +77,16 @@ def test_whiskered_graph_rejects_a_leaf_listed_twice():
         graph_from_json_dict(doc)
 
 
+def test_whiskered_graph_rejects_a_leaf_that_is_also_a_support():
+    graph = build_graph(["a", "b"], [("a", "b")])
+    with pytest.raises(GraphError, match="also a support"):
+        WhiskeredGraph(graph=graph, leaves={"a": ("b",), "b": ("a",)})
+    doc = {"vertices": ["a", "b"], "edges": [["a", "b"]],
+           "whiskers": [{"support": "a", "leaf": "b"}, {"support": "b", "leaf": "a"}]}
+    with pytest.raises(GraphError, match="also a support"):
+        graph_from_json_dict(doc)
+
+
 def test_build_graph_rejects_loops_and_duplicates():
     with pytest.raises(GraphError):
         build_graph(["x1"], [("x1", "x1")])

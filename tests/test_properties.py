@@ -20,7 +20,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from symcover.decomposability import DecompositionEngine, vertex_decomposable  # noqa: E402
+from symcover.decomposability import (  # noqa: E402
+    DecompositionEngine,
+    _shelling_facets,
+    is_vertex_decomposable,
+    render_certificate,
+    validate_certificate,
+    vertex_decomposable,
+)
 from symcover.duplication import duplicate_edges, parse_tuple, render_tuple  # noqa: E402
 from symcover.enumeration import automorphisms  # noqa: E402
 from symcover.graphs import (  # noqa: E402
@@ -42,7 +49,11 @@ from symcover.ideals import (  # noqa: E402
 )
 from symcover.scenarios import _tuple_image_orders  # noqa: E402
 
-from oracles import brute_vertex_decomposable  # noqa: E402
+from oracles import (  # noqa: E402
+    brute_maximal_independent_sets,
+    brute_vertex_decomposable,
+    recursive_render_certificate,
+)
 
 # a fixed example count and no example database: the same inputs every run
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -61,6 +72,14 @@ def graphs(draw, max_vertices=7):
 @given(graphs())
 def test_engine_matches_the_definition(g):
     assert vertex_decomposable(g) == brute_vertex_decomposable(g)
+    cert = is_vertex_decomposable(g)
+    assert (cert is not None) == vertex_decomposable(g)
+    if cert is not None:
+        # the walks on their own stacks agree with the plain recursions
+        assert validate_certificate(g, cert)
+        facets = _shelling_facets(cert)
+        assert len(facets) == len(set(facets)) and set(facets) == brute_maximal_independent_sets(g)
+        assert render_certificate(cert) == recursive_render_certificate(cert)
 
 
 @PROPERTY
