@@ -18,26 +18,18 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def isolated_stripped(adj: Sequence[int], mask: int) -> int:
-    """Submask of ``mask`` keeping only vertices with a neighbor in ``mask``."""
-    kept = 0
-    probe = mask
-    while probe:
-        low = probe & -probe
-        probe ^= low
-        if adj[low.bit_length() - 1] & mask:
-            kept |= low
-    return kept
-
-
 def components(adj: Sequence[int], mask: int) -> list[int]:
-    """Connected components of the induced subgraph, as masks, in bit order."""
+    """Connected components with an edge of the induced subgraph, as masks,
+    in bit order.  An isolated vertex costs one row lookup and is left out."""
     out = []
     remaining = mask
     while remaining:
         seed = remaining & -remaining
-        comp = seed
-        frontier = seed
+        remaining ^= seed
+        frontier = adj[seed.bit_length() - 1] & mask
+        if not frontier:
+            continue
+        comp = seed | frontier
         while frontier:
             grown = 0
             while frontier:

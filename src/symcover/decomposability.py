@@ -8,8 +8,9 @@ The engine below answers that question exactly with three sound reductions:
 
 * verdicts are memoized on vertex subsets of one ambient graph (deletion and
   link are both induced subgraphs, so every recursive instance is a mask),
-* isolated vertices are stripped before lookup (they never change the
-  verdict),
+* isolated vertices are left out (they never change the verdict) by the
+  one scan that splits a mask into its components, which keeps only
+  components with an edge,
 * connected components are decided independently (the independence complex
   of a disjoint union is the join, which is vertex decomposable iff both
   factors are).
@@ -26,7 +27,8 @@ a simplicial s adjacent to x has N[s] inside N[x].  This mirrors the way
 whiskered graphs are actually decomposed and finds certificates fast.
 
 The engine holds only the adjacency rows and that memo.  Certificates are
-read off the memo, and every walk over one keeps its own stack.
+read off the memo, and every walk over one keeps its own stack.  Checking a
+certificate and unwinding it into a shelling are one walk.
 """
 
 from __future__ import annotations
@@ -78,31 +80,43 @@ def render_certificate(cert: DecompositionCertificate) -> str:
     return "\n".join(lines)
 
 
-def validate_certificate(graph: Graph, cert: DecompositionCertificate) -> bool:
-    """Walk a certificate and re-check every claim it makes.
+def _certified_facets(graph: Graph, cert: DecompositionCertificate) -> list[int] | None:
+    """Re-check every claim a certificate makes and unwind it into a shelling
+    of the independence complex, in one walk; None when a claim fails.
 
     Each node is checked on its vertex mask: a shedding vertex must be a
     vertex of that induced subgraph and shed there, and a leaf must cover
     exactly the vertices of its mask and be edgeless.  Every shed vertex
     leaves the mask of its deletion branch, so the leaf checks pin the
-    vertex set of every node above them.
+    vertex set of every node above them.  Facets of the deletion branch come
+    first, then the link branch's facets each extended by the shedding
+    vertex, so each leaf, in order, gives one facet mask: its own mask and
+    every vertex shed above it on the way into a link.
     """
     engine = DecompositionEngine(graph.adjacency_masks())
-    stack = [(graph.full_mask(), cert)]
+    facets = []
+    stack = [(graph.full_mask(), 0, cert)]
     while stack:
-        mask, node = stack.pop()
+        mask, shed, node = stack.pop()
         if isinstance(node, CertificateLeaf):
             if (frozenset(node.vertices) != frozenset(graph.names_of(mask))
-                    or _bitgraph.isolated_stripped(engine._adj, mask)):
-                return False
+                    or _bitgraph.components(engine._adj, mask)):
+                return None
+            facets.append(shed | mask)
             continue
         if not graph.has_vertex(node.shedding):
-            return False
+            return None
         v = graph.index_of(node.shedding)
         if not (mask >> v & 1 and engine.sheds(mask, v)):
-            return False
-        stack += [(mask & ~engine._closed(v), node.link), (mask & ~(1 << v), node.deletion)]
-    return True
+            return None
+        stack += [(mask & ~engine._closed(v), shed | 1 << v, node.link),
+                  (mask & ~(1 << v), shed, node.deletion)]
+    return facets
+
+
+def validate_certificate(graph: Graph, cert: DecompositionCertificate) -> bool:
+    """Walk a certificate and re-check every claim it makes."""
+    return _certified_facets(graph, cert) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +217,7 @@ class DecompositionEngine:
     def is_vd_mask(self, mask: int) -> bool:
         """Vertex decomposability of the induced subgraph on ``mask``: a
         component's shedder is memoized once its deletion and link are decided."""
-        for comp in _bitgraph.components(self._adj, _bitgraph.isolated_stripped(self._adj, mask)):
+        for comp in _bitgraph.components(self._adj, mask):
             shedder = self._shedder.get(comp)
             if shedder is None:
                 shedder = -1
@@ -244,10 +258,10 @@ def is_vertex_decomposable(graph: Graph) -> DecompositionCertificate | None:
         mask = stack.pop()
         if mask in shed:
             continue
-        core = _bitgraph.isolated_stripped(engine._adj, mask)
-        # every component of the core has an edge and a memoized shedder
-        v = shed[mask] = engine._shedder[_bitgraph.components(engine._adj, core)[0]] if core else -1
-        if core:
+        comps = _bitgraph.components(engine._adj, mask)
+        # every component has an edge and a memoized shedder
+        v = shed[mask] = engine._shedder[comps[0]] if comps else -1
+        if comps:
             stack += [mask & ~(1 << v), mask & ~engine._closed(v)]
     built: dict[int, DecompositionCertificate] = {}
     for mask, v in sorted(shed.items()):  # a branch is a submask, so it is built first
@@ -297,18 +311,13 @@ def check_shedding_sequence(graph: Graph, vertices: Sequence[str]) -> SheddingSe
     links decide them.  A true verdict certifies the input graph vertex
     decomposable.
     """
-    seen: set[str] = set()
-    for name in vertices:
-        graph.index_of(name)
-        if name in seen:
-            raise GraphError(f"repeated vertex {name!r} in shedding sequence")
-        seen.add(name)
-
     engine = DecompositionEngine(graph.adjacency_masks())
     current = graph.full_mask()
     steps: list[SequenceStep] = []
     for name in vertices:
         v = graph.index_of(name)
+        if not current >> v & 1:  # an earlier step deleted it
+            raise GraphError(f"repeated vertex {name!r} in shedding sequence")
         steps.append(
             SequenceStep(
                 vertex=name,
@@ -324,43 +333,25 @@ def check_shedding_sequence(graph: Graph, vertices: Sequence[str]) -> SheddingSe
 # ---------------------------------------------------------------------------
 # from certificates to generator orders
 
-def _shelling_facets(cert: DecompositionCertificate) -> list[frozenset[str]]:
-    """Unwind a certificate into a shelling of the independence complex.
-
-    Facets of the deletion branch come first, then the link branch's facets
-    each extended by the shedding vertex.  So each leaf, in order, gives one
-    facet: its vertices and every vertex shed above it on the way into a link.
-    """
-    facets = []
-    stack = [(cert, frozenset())]
-    while stack:
-        node, shed = stack.pop()
-        if isinstance(node, CertificateLeaf):
-            facets.append(shed.union(node.vertices))
-        else:
-            stack += [(node.link, shed | {node.shedding}), (node.deletion, shed)]
-    return facets
-
-
 def linear_order_from_certificate(
     graph: Graph, cert: DecompositionCertificate
 ) -> list[Monomial]:
     """Generator ordering of the cover ideal extracted from a certificate.
 
-    The certificate unwinds to a shelling of the independence complex;
-    complementing each facet gives the minimal vertex covers in an order
-    whose cover-product generators have linear quotients.  The output is
-    re-validated before being returned; a validation failure means the
-    construction itself is broken and raises.
+    The walk that checks the certificate also unwinds it to a shelling of
+    the independence complex; complementing each facet gives the minimal
+    vertex covers in an order whose cover-product generators have linear
+    quotients.  The output is re-validated before being returned; a
+    validation failure means the construction itself is broken and raises.
     """
-    if not validate_certificate(graph, cert):
+    facets = _certified_facets(graph, cert)
+    if facets is None:
         raise GraphError("certificate does not certify this graph")
     ideal = cover_ideal(graph)
     if ideal.is_whole_ring:
         return []
-    facets = _shelling_facets(cert)
-    everything = set(graph.vertex_names)
-    order = [Monomial.of({v: 1 for v in everything - facet}) for facet in facets]
+    full = graph.full_mask()
+    order = [Monomial.of({v: 1 for v in graph.names_of(full & ~facet)}) for facet in facets]
     if not is_linear_quotients_order(ideal, order):
         raise AssertionError(
             "internal error: certificate unwinding produced a non-linear-quotients order"

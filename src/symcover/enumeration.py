@@ -130,7 +130,7 @@ def graphs_up_to_isomorphism(n: int) -> tuple[EdgeSet, ...]:
 
 
 def _is_connected(n: int, edges: EdgeSet) -> bool:
-    return n <= 1 or len(components(_rows(n, edges), (1 << n) - 1)) == 1
+    return n <= 1 or components(_rows(n, edges), (1 << n) - 1) == [(1 << n) - 1]
 
 
 def connected_graphs_up_to_isomorphism(n: int) -> tuple[EdgeSet, ...]:

@@ -455,8 +455,11 @@ def graph_from_json_dict(doc: Mapping) -> Graph:
 
 def load_graph(path: str) -> Graph:
     """Read a graph file, sniffing JSON versus the plain text format."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"graph file {path!r} is not UTF-8: {exc}") from None
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:

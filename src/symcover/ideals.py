@@ -101,6 +101,11 @@ class Monomial:
         return f"Monomial({self.render()})"
 
 
+# a slot mask holds one bit per unit of exponent, so an exponent read from
+# text is bounded to keep a short file from asking for gigabytes
+_MAX_EXPONENT = 10_000
+
+
 def parse_monomial(text: str) -> Monomial:
     text = text.strip()
     if text == "1":
@@ -116,6 +121,8 @@ def parse_monomial(text: str) -> Monomial:
                 e = int(raw)
             except ValueError:
                 raise IdealError(f"bad exponent in factor {factor!r}") from None
+            if e > _MAX_EXPONENT:
+                raise IdealError(f"exponent in factor {factor!r} is above {_MAX_EXPONENT}")
         else:
             var, e = factor, 1
         if not var:
@@ -421,6 +428,12 @@ def parse_ideal_text(text: str) -> MonomialIdeal:
         for g in gens:
             seen.update(g.variables)
         variables = sorted(seen, key=_natural_key)
+    for name in variables:
+        # the text format splits names on whitespace and skips a line that
+        # starts with '#': such a name could not be read back once written
+        if name.split() != [name] or name.startswith("#"):
+            raise IdealError(f"variable name {name!r} must be free of whitespace "
+                             "and must not start with '#'")
     if whole:
         if gens:
             raise IdealError("a whole-ring ideal cannot also list generators")
@@ -429,5 +442,9 @@ def parse_ideal_text(text: str) -> MonomialIdeal:
 
 
 def load_ideal(path: str) -> MonomialIdeal:
-    with open(path, encoding="utf-8") as fh:
-        return parse_ideal_text(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise IdealError(f"ideal file {path!r} is not UTF-8: {exc}") from None
+    return parse_ideal_text(text)

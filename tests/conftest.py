@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# a test run leaves no bytecode cache under src/
+sys.dont_write_bytecode = True
 
 from symcover.graphs import StarCompleteSpec, add_whiskers, attach_star_complete, build_graph
 

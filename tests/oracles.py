@@ -245,6 +245,24 @@ def recursive_render_certificate(cert, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
+def shelling_facets(cert) -> list[frozenset[str]]:
+    """Unwind a certificate into a shelling of the independence complex.
+
+    Facets of the deletion branch come first, then the link branch's facets
+    each extended by the shedding vertex.  So each leaf, in order, gives one
+    facet: its vertices and every vertex shed above it on the way into a link.
+    """
+    facets = []
+    stack = [(cert, frozenset())]
+    while stack:
+        node, shed = stack.pop()
+        if isinstance(node, CertificateLeaf):
+            facets.append(shed.union(node.vertices))
+        else:
+            stack += [(node.link, shed | {node.shedding}), (node.deletion, shed)]
+    return facets
+
+
 # ---------------------------------------------------------------------------
 # monomials and ideals, exponent by exponent
 

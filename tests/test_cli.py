@@ -185,7 +185,19 @@ def test_usage_errors_exit_2(capsys, c4_path, tmp_path):
         path = tmp_path / f"not_list{i}.graph"
         path.write_text(doc)
         not_lists.append(("check-vd", str(path)))
+    # files that are not UTF-8; ideal variables the text format cannot read
+    # back (whitespace, a leading '#'); an exponent too large for a slot mask
+    bad_files = []
+    for i, (command, data) in enumerate((("check-vd", b"vertices: a b\xff\nedge: a b\n"),
+                                         ("polarize", b"x\xff*y\n"),
+                                         ("polarize", b"x y*z\n"),
+                                         ("polarize", b"x*#a\ny\n"),
+                                         ("polarize", b"x^10001\n"))):
+        path = tmp_path / f"bad_file{i}.txt"
+        path.write_bytes(data)
+        bad_files.append((command, str(path)))
     for argv in (
+        *bad_files,
         ("verify", "main", "--graph", c4_path, "--S", "x1", "--counts", "x1=x"),
         ("verify", "star", "--graph", c4_path, "--S", "x1", "--spec", "x1:x"),
         ("check-vd", str(no_support)),
@@ -257,7 +269,7 @@ def test_verify_edge_constant_k_counts_whiskers_once(capsys):
 
 def test_python_dash_m_runs_the_cli(tmp_path):
     src = str(Path(symcover.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     ok = subprocess.run([sys.executable, "-m", "symcover", "check-vd", str(FIXTURES / "p3.graph")],
                         capture_output=True, text=True, env=env)

@@ -265,6 +265,11 @@ def test_sequence_rejects_bad_vertices():
         check_shedding_sequence(c4(), ["x1", "x1"])
     with pytest.raises(GraphError):
         check_shedding_sequence(c4(), ["zz"])
+    # one pass over the sequence still names the first bad entry
+    with pytest.raises(GraphError, match="unknown vertex 'zz'"):
+        check_shedding_sequence(c4(), ["x1", "zz", "x1"])
+    with pytest.raises(GraphError, match="repeated vertex 'x1'"):
+        check_shedding_sequence(c4(), ["x1", "x2", "x1"])
 
 
 def test_sequence_success_implies_decomposable():

@@ -21,6 +21,8 @@ from symcover.graphs import (
     render_graph_text,
 )
 
+from symcover._bitgraph import components
+
 from conftest import c4, cycle, fish, five_vertex_example, p3, single_edge, whiskered_fish
 from oracles import (
     brute_independent,
@@ -136,6 +138,18 @@ def test_row_queries_match_edge_list(small_graph_atlas):
         assert (hash(relabelled) == hash(g)) == automorphic
         if g.edges:
             assert build_graph(names, g.edges[:-1]) != g
+
+
+def test_components_leave_out_isolated_vertices():
+    # x1-x6, x2-x3 and x5-x7, with x4 isolated; bit i is vertex x(i+1)
+    g = build_graph([f"x{i}" for i in range(1, 8)], [("x1", "x6"), ("x2", "x3"), ("x5", "x7")])
+    rows = g.adjacency_masks()
+    # in bit order: the component of x1 comes first though it reaches x6
+    assert components(rows, g.full_mask()) == [0b0100001, 0b0000110, 0b1010000]
+    # deleting x6 leaves x1 isolated as well
+    assert components(rows, g.full_mask() & ~0b0100000) == [0b0000110, 0b1010000]
+    assert components(rows, g.mask_of(["x1", "x2", "x4", "x5"])) == []
+    assert components(rows, 0) == []
 
 
 def test_is_independent_set_examples():

@@ -75,7 +75,8 @@ def test_monomial_basics():
 
 
 def test_monomial_parse_render_round_trip():
-    for text in ("x1", "x1*x2", "x2^3*x10", "x1.1*x1.2", "1"):
+    # the largest exponent the parser accepts
+    for text in ("x1", "x1*x2", "x2^3*x10", "x1.1*x1.2", "1", "x^10000"):
         assert parse_monomial(text) == parse_monomial(parse_monomial(text).render())
     with pytest.raises(IdealError):
         parse_monomial("x^0meow*")

@@ -22,8 +22,9 @@ from hypothesis import strategies as st  # noqa: E402
 
 from symcover.decomposability import (  # noqa: E402
     DecompositionEngine,
-    _shelling_facets,
+    _certified_facets,
     is_vertex_decomposable,
+    linear_order_from_certificate,
     render_certificate,
     validate_certificate,
     vertex_decomposable,
@@ -46,6 +47,7 @@ from symcover.ideals import (  # noqa: E402
     depolarize,
     parse_ideal_text,
     polarize,
+    render_ideal_text,
 )
 from symcover.scenarios import _tuple_image_orders  # noqa: E402
 
@@ -53,6 +55,7 @@ from oracles import (  # noqa: E402
     brute_maximal_independent_sets,
     brute_vertex_decomposable,
     recursive_render_certificate,
+    shelling_facets,
 )
 
 # a fixed example count and no example database: the same inputs every run
@@ -75,10 +78,15 @@ def test_engine_matches_the_definition(g):
     cert = is_vertex_decomposable(g)
     assert (cert is not None) == vertex_decomposable(g)
     if cert is not None:
-        # the walks on their own stacks agree with the plain recursions
+        # the walks on their own stacks agree with the plain recursions, and
+        # the checking walk unwinds the certificate as the reference does
         assert validate_certificate(g, cert)
-        facets = _shelling_facets(cert)
+        facets = [frozenset(g.names_of(f)) for f in _certified_facets(g, cert)]
         assert len(facets) == len(set(facets)) and set(facets) == brute_maximal_independent_sets(g)
+        everything = set(g.vertex_names)
+        expected = [Monomial.of({v: 1 for v in everything - f})
+                    for f in shelling_facets(cert)] if g.edge_count else []
+        assert linear_order_from_certificate(g, cert) == expected
         assert render_certificate(cert) == recursive_render_certificate(cert)
 
 
@@ -201,12 +209,35 @@ def test_graph_text_and_json_round_trip(case, data):
 
 
 @st.composite
-def ideals(draw):
-    """Monomial ideals over any nonempty variable names, exponents up to 3."""
-    names = draw(st.lists(st.text(min_size=1, max_size=3), unique=True, min_size=1, max_size=4))
+def ideals(draw, name=st.text(min_size=1, max_size=3)):
+    """Monomial ideals over nonempty variable names, exponents up to 3."""
+    names = draw(st.lists(name, unique=True, min_size=1, max_size=4))
     exponents = st.lists(st.integers(0, 3), min_size=len(names), max_size=len(names))
     gens = draw(st.lists(exponents.filter(any), min_size=1, max_size=5))
     return MonomialIdeal(names, [Monomial.of(zip(names, e)) for e in gens])
+
+
+# names that may hold whitespace or start with '#'; the alphabet leaves out
+# '*' and '^', which the monomial grammar reads, and digits, so that no
+# generator renders as the unit "1"
+NAME_CORE = st.text("ab.#", min_size=1, max_size=2)
+TEXT_NAMES = NAME_CORE | st.tuples(NAME_CORE, st.sampled_from([" ", "\t"]), NAME_CORE).map("".join)
+
+
+@PROPERTY
+@given(ideals(TEXT_NAMES))
+def test_ideal_text_round_trip(ideal):
+    # the text format splits names on whitespace and skips '#' lines; a
+    # header name with whitespace inside reads back as two plain names, so
+    # only the ambient list may change without an error
+    breaks = any(name.split() != [name] or name.startswith("#") for name in ideal.variables)
+    try:
+        back = parse_ideal_text(render_ideal_text(ideal))
+    except IdealError:
+        assert breaks
+        return
+    assert back == ideal
+    assert breaks or back.variables == ideal.variables
 
 
 @PROPERTY
