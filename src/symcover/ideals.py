@@ -31,12 +31,22 @@ exponents:
 
 So the linear-quotients test runs on integers alone: O(m) operations per
 position of an order of m generators, O(m^2) per order.
+
+The search for an order decides one degree block at a time.  Swapping two
+adjacent generators whose degrees go down keeps linear quotients
+(Jahan-Zheng, J. Combin. Theory Ser. A 2010), so only degree-nondecreasing
+orders need trying, and the first accepted order of a search over all
+orders is already one of them.  The colon test depends only on the set
+already placed, which is the same after every valid order of a block, so
+each block is ordered once, after the lower degrees, and a block with no
+valid order answers "no".
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
 from . import _bitgraph
@@ -349,25 +359,59 @@ def has_linear_quotients(ideal: MonomialIdeal) -> list[Monomial] | None:
 
     Returns the first accepting order in the canonical candidate order
     (degree-nondecreasing, then preference for earlier variables), or None
-    when no ordering works.  Whether a candidate can be appended depends
-    only on the set already chosen, so dead prefixes are memoized as
-    bitmasks of generator indices.  The depth-first search keeps its own
-    stack, so ideals with thousands of generators stay within Python's
-    recursion limit.
+    when no ordering works.
+
+    The search decides one degree block at a time.  If an order has linear
+    quotients, so does the order with an adjacent degree descent swapped
+    (Jahan-Zheng, J. Combin. Theory Ser. A 2010), so an ideal with linear
+    quotients has a degree-nondecreasing order, and only those are tried.
+    The canonical order puts each degree's generators together, so each
+    block, in increasing degree, is ordered after every lower-degree
+    generator is placed.  Whether a candidate can be appended depends only
+    on the set already placed, and after a block that set is the same
+    whichever valid order the block took: a block that fails after one
+    valid order of the earlier blocks fails after all of them, so no block
+    is retried.
+
+    The result is the order an exhaustive search over all orders finds
+    first.  Suppose that order had a degree descent.  Moving its first
+    misplaced lowest-degree generator forward, swap by swap, keeps linear
+    quotients and gives an order with a smaller index at the first changed
+    position, which that search would have found first.  So its order is
+    degree-nondecreasing, and it is the first such order, which is what
+    the blockwise search returns.
     """
     if ideal.is_whole_ring or not ideal.generators:
         raise IdealError("linear quotients needs at least one generator")
-    gens = ideal.generators
-    masks = tuple(ideal._masks.values())
-    q = len(gens)
+    order: list[Monomial] = []
+    placed: list[int] = []  # slot masks of the generators placed so far
+    for _, block in groupby(ideal._masks.items(), key=lambda item: item[1].bit_count()):
+        gens, masks = zip(*block)
+        found = _order_block(placed, masks)
+        if found is None:
+            return None
+        order.extend(gens[i] for i in found)
+    return order
+
+
+def _order_block(placed: list[int], block: Sequence[int]) -> list[int] | None:
+    """The first order of ``block`` in which every mask passes the colon test
+    against ``placed`` and the block masks before it, as block positions.
+
+    On success the block's masks are appended to ``placed`` in that order;
+    on failure ``placed`` is left as it was.  Dead subsets of the block are
+    memoized as bitmasks of positions, and the depth-first search keeps its
+    own stack, so blocks with thousands of generators stay within Python's
+    recursion limit.
+    """
+    q = len(block)
     dead: set[int] = set()
-    prefix: list[int] = []  # generator indices placed so far
-    placed: list[int] = []  # their slot masks
-    chosen = 0              # prefix as a bitmask of indices
+    prefix: list[int] = []  # block positions placed so far
+    chosen = 0              # prefix as a bitmask of positions
     cursor = [0]            # next candidate to try, per position
     while cursor:
         i = cursor[-1]
-        while i < q and (chosen >> i & 1 or not _linear_colons(placed, masks[i])):
+        while i < q and (chosen >> i & 1 or not _linear_colons(placed, block[i])):
             i += 1
         if i == q:  # no extension of this prefix works
             dead.add(chosen)
@@ -378,11 +422,12 @@ def has_linear_quotients(ideal: MonomialIdeal) -> list[Monomial] | None:
             continue
         cursor[-1] = i + 1
         if len(prefix) + 1 == q:
-            return [gens[j] for j in prefix + [i]]
+            placed.append(block[i])
+            return prefix + [i]
         if (chosen | 1 << i) in dead:
             continue
         prefix.append(i)
-        placed.append(masks[i])
+        placed.append(block[i])
         chosen |= 1 << i
         cursor.append(0)
     return None
@@ -391,7 +436,22 @@ def has_linear_quotients(ideal: MonomialIdeal) -> list[Monomial] | None:
 # ---------------------------------------------------------------------------
 # text format
 
+def _check_variable_name(name: str) -> None:
+    """Reject a variable name that the text format would not read back.
+
+    The format splits the variables line on whitespace, skips a line that
+    starts with '#', reads '*' and '^' as monomial syntax, and reads a
+    generator "1" as the unit.  Writer and reader share this one rule.
+    """
+    if (name.split() != [name] or name.startswith("#") or "*" in name or "^" in name
+            or name == "1"):
+        raise IdealError(f"variable name {name!r} must be free of whitespace, '*' and '^', "
+                         "must not start with '#' and must not be '1'")
+
+
 def render_ideal_text(ideal: MonomialIdeal) -> str:
+    for name in ideal.variables:
+        _check_variable_name(name)
     lines = ["variables: " + " ".join(ideal.variables)]
     if ideal.is_whole_ring:
         lines.append("whole-ring")
@@ -429,11 +489,7 @@ def parse_ideal_text(text: str) -> MonomialIdeal:
             seen.update(g.variables)
         variables = sorted(seen, key=_natural_key)
     for name in variables:
-        # the text format splits names on whitespace and skips a line that
-        # starts with '#': such a name could not be read back once written
-        if name.split() != [name] or name.startswith("#"):
-            raise IdealError(f"variable name {name!r} must be free of whitespace "
-                             "and must not start with '#'")
+        _check_variable_name(name)
     if whole:
         if gens:
             raise IdealError("a whole-ring ideal cannot also list generators")

@@ -137,6 +137,15 @@ def test_verify_star(capsys, c4_path):
     assert "overall: PASS" in out
 
 
+def test_linear_quotients_no_on_whiskered_fish_cube(capsys, tmp_path):
+    code, out, _ = run(capsys, "symbolic-power", str(FIXTURES / "fish_whiskered.graph"), "--k", "3")
+    assert code == 0
+    ideal_path = tmp_path / "wf3.ideal"
+    ideal_path.write_text(out)
+    code, out, _ = run(capsys, "linear-quotients", str(ideal_path))
+    assert (code, out) == (1, "linear quotients: no\n")
+
+
 def test_usage_errors_exit_2(capsys, c4_path, tmp_path):
     assert run(capsys, "cover-ideal", str(tmp_path / "missing.graph"))[0] == 2
     assert run(capsys, "verify", "glue", "--graph", c4_path, "--S", "x1")[0] == 2
@@ -186,20 +195,33 @@ def test_usage_errors_exit_2(capsys, c4_path, tmp_path):
         path.write_text(doc)
         not_lists.append(("check-vd", str(path)))
     # files that are not UTF-8; ideal variables the text format cannot read
-    # back (whitespace, a leading '#'); an exponent too large for a slot mask
+    # back (whitespace, '*', '^', a leading '#', the unit "1"), whether read
+    # from an ideal or written from a graph's vertex names; an exponent too
+    # large for a slot mask
     bad_files = []
     for i, (command, data) in enumerate((("check-vd", b"vertices: a b\xff\nedge: a b\n"),
                                          ("polarize", b"x\xff*y\n"),
                                          ("polarize", b"x y*z\n"),
                                          ("polarize", b"x*#a\ny\n"),
+                                         ("polarize", b"variables: a*b c\nc\n"),
+                                         ("polarize", b"variables: a^2 c\nc\n"),
+                                         ("polarize", b"variables: 1 c\nc\n"),
+                                         ("cover-ideal", b'{"vertices": ["a*b", "c"], '
+                                                         b'"edges": [["a*b", "c"]]}'),
+                                         ("cover-ideal", b'{"vertices": ["#a", "c"], '
+                                                         b'"edges": [["#a", "c"]]}'),
+                                         ("cover-ideal", b"vertices: 1 2\nedge: 1 2\n"),
                                          ("polarize", b"x^10001\n"))):
         path = tmp_path / f"bad_file{i}.txt"
         path.write_bytes(data)
         bad_files.append((command, str(path)))
+    power_name = tmp_path / "power_name.graph"
+    power_name.write_text('{"vertices": ["a^2", "c"], "edges": [["a^2", "c"]]}')
     for argv in (
         *bad_files,
         ("verify", "main", "--graph", c4_path, "--S", "x1", "--counts", "x1=x"),
         ("verify", "star", "--graph", c4_path, "--S", "x1", "--spec", "x1:x"),
+        ("symbolic-power", str(power_name), "--k", "2"),
         ("check-vd", str(no_support)),
         ("check-vd", str(truncated)),
         *bad_whiskers,

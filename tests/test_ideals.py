@@ -41,6 +41,7 @@ from oracles import (
     lcm,
     minimal_primes,
     mul,
+    naive_colon_is_linear,
     naive_has_linear_quotients,
     naive_is_linear_quotients_order,
     symbolic_membership,
@@ -399,7 +400,8 @@ def test_order_check_non_squarefree_edge_cases(ambient, order, expected):
     (lambda: add_whiskers(cycle(4), ["x1"]).graph, 3,
      "x1^3*x3^3 x1^3*x2*x3^2*x4 x1^2*x2*x3^2*x4*x5 x1^3*x2^2*x3*x4^2 x1^2*x2^2*x3*x4^2*x5 "
      "x1*x2^2*x3*x4^2*x5^2 x1^3*x2^3*x4^3 x1^2*x2^3*x4^3*x5 x1*x2^3*x4^3*x5^2 x2^3*x4^3*x5^3"),
-], ids=["fish-1", "fish-2", "fish-3", "five-vertex-3", "whiskered-c4-3"])
+    (whiskered_fish, 3, None),
+], ids=["fish-1", "fish-2", "fish-3", "five-vertex-3", "whiskered-c4-3", "whiskered-fish-3"])
 def test_linear_quotients_pinned_orders(graph, k, expected):
     ideal = symbolic_power(graph(), k)
     order = has_linear_quotients(ideal)
@@ -429,6 +431,65 @@ def test_linear_quotients_search_backtracks_like_plain_recursion(monkeypatch):
     assert min(outcomes.values()) > 20, outcomes
 
 
+def test_linear_quotients_search_cost_is_bounded(monkeypatch):
+    # a "no" stops at the first degree block with no valid order, so fish
+    # k = 3 (19 generators) and whiskered fish k = 3 (24) need few colon
+    # tests; a count is stable where wall time is not
+    real = ideals._linear_colons
+    calls = 0
+
+    def counting(placed, candidate):
+        nonlocal calls
+        calls += 1
+        return real(placed, candidate)
+
+    monkeypatch.setattr(ideals, "_linear_colons", counting)
+    for graph, bound in ((fish, 100), (whiskered_fish, 50)):
+        calls = 0
+        assert has_linear_quotients(symbolic_power(graph(), 3)) is None
+        assert 0 < calls <= bound, (graph.__name__, calls)
+
+
+def test_linear_quotients_matches_plain_search_on_symbolic_powers():
+    # the blockwise search returns the first order of the search over all
+    # orders, not only its verdict
+    ideals_seen = {True: 0, False: 0}
+    for n in range(2, 6):
+        for edges in connected_graphs_up_to_isomorphism(n):
+            for k in (1, 2, 3):
+                ideal = symbolic_power(as_graph(n, edges), k)
+                if len(ideal.generators) > 10:
+                    continue
+                expected = first_accepted_order(list(ideal.generators), naive_colon_is_linear)
+                assert has_linear_quotients(ideal) == expected, (edges, k)
+                ideals_seen[expected is not None] += 1
+    assert min(ideals_seen.values()) > 5, ideals_seen
+
+
+def test_degree_descent_swap_keeps_linear_quotients():
+    # Jahan-Zheng: swapping adjacent generators whose degrees go down keeps
+    # linear quotients, which is why only degree-nondecreasing orders are
+    # searched.  Every accepting order of small symbolic powers and random
+    # ideals is checked, descent by descent.
+    rng = random.Random(83)
+    cases = [symbolic_power(as_graph(n, edges), k)
+             for n in range(2, 6) for edges in connected_graphs_up_to_isomorphism(n)
+             for k in (1, 2, 3)]
+    cases += [random_ideal(rng, nvars=rng.randint(4, 6), ngens=rng.randint(2, 6),
+                           maxexp=rng.randint(1, 2)) for _ in range(200)]
+    swaps = 0
+    for ideal in cases:
+        if len(ideal.generators) > 7:
+            continue
+        for order in exhaustive_linear_quotients_orders(ideal):
+            for i in range(len(order) - 1):
+                if degree(order[i]) > degree(order[i + 1]):
+                    swapped = order[:i] + [order[i + 1], order[i]] + order[i + 2:]
+                    assert naive_is_linear_quotients_order(swapped), (order, i)
+                    swaps += 1
+    assert swaps > 500, swaps
+
+
 def random_ideal(rng, nvars=4, ngens=6, maxexp=2) -> MonomialIdeal:
     ambient = tuple(f"x{i}" for i in range(1, nvars + 1))
     pool = []
@@ -439,10 +500,17 @@ def random_ideal(rng, nvars=4, ngens=6, maxexp=2) -> MonomialIdeal:
 
 
 def test_linear_quotients_agrees_with_naive_search():
+    # the same order as the plain search over all orders, not only the
+    # same verdict, on ideals of mixed degrees
     rng = random.Random(61)
-    for _ in range(40):
-        ideal = random_ideal(rng, nvars=rng.randint(2, 4), ngens=rng.randint(1, 8))
-        assert (has_linear_quotients(ideal) is not None) == naive_has_linear_quotients(ideal)
+    verdicts = {True: 0, False: 0}
+    for _ in range(300):
+        ideal = random_ideal(rng, nvars=rng.randint(2, 4), ngens=rng.randint(1, 8),
+                             maxexp=rng.randint(1, 3))
+        expected = first_accepted_order(list(ideal.generators), naive_colon_is_linear)
+        assert has_linear_quotients(ideal) == expected, ideal
+        verdicts[expected is not None] += 1
+    assert min(verdicts.values()) > 30, verdicts
 
 
 def test_linear_quotients_agrees_with_full_permutation_search():

@@ -48,6 +48,7 @@ from symcover.ideals import (  # noqa: E402
     parse_ideal_text,
     polarize,
     render_ideal_text,
+    symbolic_power,
 )
 from symcover.scenarios import _tuple_image_orders  # noqa: E402
 
@@ -217,27 +218,39 @@ def ideals(draw, name=st.text(min_size=1, max_size=3)):
     return MonomialIdeal(names, [Monomial.of(zip(names, e)) for e in gens])
 
 
-# names that may hold whitespace or start with '#'; the alphabet leaves out
-# '*' and '^', which the monomial grammar reads, and digits, so that no
-# generator renders as the unit "1"
-NAME_CORE = st.text("ab.#", min_size=1, max_size=2)
+def assert_text_round_trip(ideal: MonomialIdeal) -> None:
+    """The ideal writer refuses a name the reader could not read back, and
+    otherwise writes what reads back exactly.  The reader splits the
+    variables line on whitespace, skips '#' lines, reads '*' and '^' as
+    monomial syntax and a generator "1" as the unit."""
+    if any(name.split() != [name] or name.startswith("#") or "*" in name or "^" in name
+           or name == "1" for name in ideal.variables):
+        with pytest.raises(IdealError):
+            render_ideal_text(ideal)
+        return
+    back = parse_ideal_text(render_ideal_text(ideal))
+    assert back == ideal and back.variables == ideal.variables
+
+
+# names that may hold whitespace, '*' or '^', start with '#', or be the
+# unit "1"
+NAME_CORE = st.text("ab.#*^1", min_size=1, max_size=2)
 TEXT_NAMES = NAME_CORE | st.tuples(NAME_CORE, st.sampled_from([" ", "\t"]), NAME_CORE).map("".join)
 
 
 @PROPERTY
 @given(ideals(TEXT_NAMES))
 def test_ideal_text_round_trip(ideal):
-    # the text format splits names on whitespace and skips '#' lines; a
-    # header name with whitespace inside reads back as two plain names, so
-    # only the ambient list may change without an error
-    breaks = any(name.split() != [name] or name.startswith("#") for name in ideal.variables)
-    try:
-        back = parse_ideal_text(render_ideal_text(ideal))
-    except IdealError:
-        assert breaks
-        return
-    assert back == ideal
-    assert breaks or back.variables == ideal.variables
+    assert_text_round_trip(ideal)
+
+
+@PROPERTY
+@given(st.lists(NAME_CORE, unique=True, min_size=1, max_size=5), st.integers(1, 2), st.data())
+def test_graph_to_ideal_text_round_trip(names, k, data):
+    # a vertex name may hold what ideal text cannot, so cover-ideal (k = 1)
+    # and symbolic-power either refuse to write or write what reads back
+    pairs = [(u, v) for u, v in combinations(names, 2) if data.draw(st.booleans())]
+    assert_text_round_trip(symbolic_power(build_graph(names, pairs), k))
 
 
 @PROPERTY
