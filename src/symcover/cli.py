@@ -12,6 +12,7 @@ quotients, a failing verification step), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -85,7 +86,10 @@ def _emit_reports(reports: list[ScenarioReport], fmt: str) -> None:
             _emit(fmt, None, report.to_text())
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and building it costs more than a small query."""
     parser = argparse.ArgumentParser(
         prog="symcover",
         description="cover ideals, symbolic powers, duplication, and vertex decomposability",

@@ -4,7 +4,7 @@ A graph is vertex decomposable when it is edgeless, or when it has a
 shedding vertex x (no independent set of G - N[x] is maximal in G - x)
 whose deletion G - x and link G - N[x] are both vertex decomposable.
 
-The engine below answers that question exactly with three sound reductions:
+The engine below answers that question exactly with four sound reductions:
 
 * verdicts are memoized on vertex subsets of one ambient graph (deletion and
   link are both induced subgraphs, so every recursive instance is a mask),
@@ -13,7 +13,21 @@ The engine below answers that question exactly with three sound reductions:
   components with an edge,
 * connected components are decided independently (the independence complex
   of a disjoint union is the join, which is vertex decomposable iff both
-  factors are).
+  factors are),
+* a vertex u whose link G - N[u] is not vertex decomposable refutes G,
+  whether u sheds or not.
+
+That last one is the link rule: every vertex link of a vertex decomposable
+complex is vertex decomposable (Provan–Billera, Math. Oper. Res. 1980, for
+pure complexes; the same induction proves it for the nonpure ones of
+Björner–Wachs, Trans. AMS 1997).  Ind(G - N[u]) is the link of u in
+Ind(G).  Induct on the number of vertices, with x a shedding vertex of a
+vertex decomposable complex D and u a vertex of D.  If u = x, lk(u) is
+vertex decomposable by definition.  If x and u are adjacent, no face holds
+both, so lk(u) = lk_{del x}(u).  Otherwise x sheds lk(u), with deletion
+lk_{del x}(u) and link lk_{lk x}(u), both vertex decomposable by
+induction: a facet F of both would make F ∪ {u} a facet of both lk(x) and
+del(x), which a shedding vertex rules out.
 
 The shedding test never lists maximal independent sets.  It backtracks over
 the neighbors of x, looking for an independent set of G - N[x] that meets
@@ -216,16 +230,37 @@ class DecompositionEngine:
 
     def is_vd_mask(self, mask: int) -> bool:
         """Vertex decomposability of the induced subgraph on ``mask``: a
-        component's shedder is memoized once its deletion and link are decided."""
+        component's shedder is memoized once its deletion and link are decided.
+
+        The first candidate is tried link first, and a link that is not VD
+        refutes the component at once.  When the first candidate does not
+        decompose it, every vertex link is decided, in candidate order, and
+        the first that is not VD refutes it (the link rule in the module
+        docstring); only then are the other candidates tried, shedding test
+        and then deletion, since every link is now known VD.  A VD component
+        has no failing link, so its shedder is the first candidate that
+        sheds with a VD deletion and link.
+        """
         for comp in _bitgraph.components(self._adj, mask):
             shedder = self._shedder.get(comp)
             if shedder is None:
                 shedder = -1
-                for v in self._candidates(comp):
-                    if (self.sheds(comp, v) and self.is_vd_mask(comp & ~(1 << v))
-                            and self.is_vd_mask(comp & ~self._closed(v))):
-                        shedder = v
-                        break
+                cands = self._candidates(comp)
+                v = cands[0]
+                first_sheds = self.sheds(comp, v)
+                if first_sheds and not self.is_vd_mask(comp & ~self._closed(v)):
+                    pass  # a failing link refutes comp
+                elif first_sheds and self.is_vd_mask(comp & ~(1 << v)):
+                    shedder = v
+                else:
+                    for u in cands:
+                        if not self.is_vd_mask(comp & ~self._closed(u)):
+                            break  # a failing link refutes comp
+                    else:
+                        for u in cands[1:]:
+                            if self.sheds(comp, u) and self.is_vd_mask(comp & ~(1 << u)):
+                                shedder = u
+                                break
                 self._shedder[comp] = shedder
             if shedder < 0:
                 return False

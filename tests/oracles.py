@@ -4,8 +4,10 @@ Everything here is written the dumbest defensible way (subset enumeration,
 permutation search, naive recursion, exponent-by-exponent monomial
 arithmetic) so that the tested code paths and the oracles cannot share a
 bug.  The exceptions are ``are_isomorphic``, a test helper that compares
-the package's own canonical forms, and ``colored_canonical_form``, which
-extends them to vertex colorings with the package's permutation search.
+the package's own canonical forms, ``colored_canonical_form``, which
+extends them to vertex colorings with the package's permutation search, and
+``ReferenceEngine``, which keeps the package's shedding test and candidate
+order but not its link rule.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Sequence
 
-from symcover._bitgraph import bits
-from symcover.decomposability import CertificateLeaf
+from symcover._bitgraph import bits, components
+from symcover.decomposability import CertificateLeaf, CertificateNode, DecompositionEngine
 from symcover.enumeration import (
     EdgeSet,
     _class_respecting_permutations,
@@ -228,6 +230,43 @@ def brute_vertex_decomposable(graph: Graph) -> bool:
         if brute_vertex_decomposable(deletion) and brute_vertex_decomposable(link):
             return True
     return False
+
+
+class ReferenceEngine(DecompositionEngine):
+    """The engine's candidate loop without the link rule: each candidate in
+    turn is tested for shedding, then its deletion, then its link, and a
+    component is refuted only once every candidate has failed."""
+
+    def is_vd_mask(self, mask: int) -> bool:
+        for comp in components(self._adj, mask):
+            if comp not in self._shedder:
+                self._shedder[comp] = -1
+                for v in self._candidates(comp):
+                    if (self.sheds(comp, v) and self.is_vd_mask(comp & ~(1 << v))
+                            and self.is_vd_mask(comp & ~self._closed(v))):
+                        self._shedder[comp] = v
+                        break
+            if self._shedder[comp] < 0:
+                return False
+        return True
+
+
+def reference_certificate(graph: Graph):
+    """The certificate ``is_vertex_decomposable`` reads off its memo, built by
+    plain recursion from the reference engine's memo; None when not VD."""
+    engine = ReferenceEngine(graph.adjacency_masks())
+    if not engine.is_vd():
+        return None
+
+    def build(mask: int):
+        comps = components(engine._adj, mask)
+        if not comps:
+            return CertificateLeaf(graph.names_of(mask))
+        v = engine._shedder[comps[0]]
+        return CertificateNode(graph.vertex_names[v], build(mask & ~(1 << v)),
+                               build(mask & ~engine._closed(v)))
+
+    return build(graph.full_mask())
 
 
 def recursive_render_certificate(cert, indent: int = 0) -> str:

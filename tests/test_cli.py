@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import symcover
-from symcover.cli import _emit_reports, main
+from symcover.cli import _emit_reports, build_parser, main
 from symcover.graphs import build_graph, save_graph
 from symcover.scenarios import ScenarioReport
 
@@ -135,6 +135,18 @@ def test_verify_star(capsys, c4_path):
                        "--spec", "x1:3,2", "--k", "2")
     assert code == 0
     assert "overall: PASS" in out
+
+
+def test_parser_built_once_keeps_no_state_between_calls(capsys, c4_path):
+    # main reuses one parser per process, so a repeated --spec must not pile
+    # up in the default list of later calls
+    argv = ("verify", "star", "--graph", c4_path, "--S", "x1",
+            "--spec", "x1:3", "--spec", "x3:2", "--k", "2")
+    first, second = run(capsys, *argv), run(capsys, *argv)
+    assert first == second and first[0] == 0
+    assert "input specs: x1:3;x3:2\n" in first[1]
+    assert build_parser() is build_parser()
+    assert build_parser().parse_args(["verify", "main", "--graph", c4_path]).spec == []
 
 
 def test_linear_quotients_no_on_whiskered_fish_cube(capsys, tmp_path):

@@ -27,6 +27,7 @@ from oracles import (
     brute_vertex_decomposable,
     is_shedding_vertex_by_definition,
     is_simplicial_vertex,
+    reference_certificate,
 )
 
 
@@ -160,6 +161,34 @@ def test_verdict_matches_brute_recursion():
     for _ in range(30):
         g = random_graph(rng, rng.randint(1, 6))
         assert vertex_decomposable(g) == brute_vertex_decomposable(g)
+
+
+def test_link_rule_keeps_verdicts_and_certificates(small_graph_atlas):
+    # refuting a component at a failing vertex link changes which masks get
+    # decided, never a verdict or the memoized shedder of a VD component
+    for g in small_graph_atlas:
+        cert, expected = is_vertex_decomposable(g), reference_certificate(g)
+        assert (cert is None) == (expected is None), g.edges
+        if cert is not None:
+            assert render_certificate(cert) == render_certificate(expected), g.edges
+
+
+def test_sparse_no_is_refuted_at_a_failing_link(monkeypatch):
+    # G(50, 0.08) from this seed is not VD.  Trying every candidate, as the
+    # engine did before the link rule, takes 136,240 shedding tests to say
+    # so; the link sweep needs 21.  Counted, since wall time is not stable.
+    g = random_graph(random.Random(13), 50, p=0.08)
+    sheds = DecompositionEngine.sheds
+    calls = []
+
+    def counting(self, mask, v):
+        calls.append(v)
+        if len(calls) > 100:
+            pytest.fail("more than 100 shedding tests")
+        return sheds(self, mask, v)
+
+    monkeypatch.setattr(DecompositionEngine, "sheds", counting)
+    assert not vertex_decomposable(g)
 
 
 def test_verdict_invariant_under_relabeling():
@@ -349,8 +378,9 @@ def test_engine_reuses_memo_across_queries():
 
 
 def test_deep_graphs_are_decided_within_the_recursion_limit(capsys, tmp_path):
-    # the engine recurses once per shedding step (P_n sheds two vertices a
-    # step) and every certificate walk keeps its own stack
+    # the engine recurses once per shedding step (on P_n it goes link
+    # first, three vertices a step) and every certificate walk keeps its
+    # own stack
     names = [f"p{i}" for i in range(1000)]
     path = tmp_path / "p1000.graph"
     save_graph(build_graph(names, list(zip(names, names[1:]))), str(path))

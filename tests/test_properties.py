@@ -56,6 +56,7 @@ from oracles import (  # noqa: E402
     brute_maximal_independent_sets,
     brute_vertex_decomposable,
     recursive_render_certificate,
+    reference_certificate,
     shelling_facets,
 )
 
@@ -89,6 +90,26 @@ def test_engine_matches_the_definition(g):
                     for f in shelling_facets(cert)] if g.edge_count else []
         assert linear_order_from_certificate(g, cert) == expected
         assert render_certificate(cert) == recursive_render_certificate(cert)
+
+
+@PROPERTY
+@given(graphs(max_vertices=10))
+def test_link_rule_matches_the_reference_engine(g):
+    cert, expected = is_vertex_decomposable(g), reference_certificate(g)
+    assert (cert is None) == (expected is None)
+    if cert is not None:
+        assert render_certificate(cert) == render_certificate(expected)
+
+
+@PROPERTY
+@given(graphs(max_vertices=8))
+def test_vertex_links_of_a_vd_graph_are_vd(g):
+    # the lemma the engine's link sweep rests on: Ind(G - N[u]) is the link
+    # of u in Ind(G), and the links of a VD complex are VD
+    if brute_vertex_decomposable(g):
+        for u in g.vertex_names:
+            closed = g.neighbors(u) | {u}
+            assert brute_vertex_decomposable(g.delete_vertices(closed)), u
 
 
 @PROPERTY
