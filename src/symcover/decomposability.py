@@ -37,7 +37,11 @@ once (Woodroofe's dominated-pair lemma).
 
 Candidate shedding vertices are tried in canonical vertex order, neighbors
 of simplicial vertices first.  Those always shed by the dominated-pair exit:
-a simplicial s adjacent to x has N[s] inside N[x].  This mirrors the way
+a simplicial s adjacent to x has N[s] inside N[x].  So the engine accepts
+them without the shedding test; the certificate validator still runs it on
+every node.  One scan of a component marks them, and the lowest marked
+vertex is the first candidate; the full candidate list is built only for
+the link sweep, when the first candidate fails.  This mirrors the way
 whiskered graphs are actually decomposed and finds certificates fast.
 
 The engine holds only the adjacency rows and that memo.  Certificates are
@@ -204,10 +208,10 @@ class DecompositionEngine:
 
     # -- decomposability ----------------------------------------------------
 
-    def _candidates(self, mask: int) -> list[int]:
-        """Vertices of ``mask`` in the order the recursion tries them:
-        neighbors of simplicial vertices first, then the rest, each part in
-        increasing index order."""
+    def _simplicial_neighbors(self, mask: int) -> int:
+        """The mask of vertices of ``mask`` adjacent to a simplicial vertex
+        of the induced subgraph.  Each of them sheds (the dominated-pair
+        exit of ``sheds``), and the recursion tries them first."""
         adj = self._adj
         marked = 0
         probe = mask
@@ -226,39 +230,45 @@ class DecompositionEngine:
                     break
             else:
                 marked |= nbrs
-        return [*_bitgraph.bits(marked), *_bitgraph.bits(mask & ~marked)]
+        return marked
 
     def is_vd_mask(self, mask: int) -> bool:
         """Vertex decomposability of the induced subgraph on ``mask``: a
         component's shedder is memoized once its deletion and link are decided.
 
-        The first candidate is tried link first, and a link that is not VD
+        Candidates come in a fixed order: neighbors of simplicial vertices
+        first, then the rest, each part in increasing index order.  The
+        first candidate is tried link first, and a link that is not VD
         refutes the component at once.  When the first candidate does not
         decompose it, every vertex link is decided, in candidate order, and
         the first that is not VD refutes it (the link rule in the module
         docstring); only then are the other candidates tried, shedding test
-        and then deletion, since every link is now known VD.  A VD component
-        has no failing link, so its shedder is the first candidate that
-        sheds with a VD deletion and link.
+        and then deletion, since every link is now known VD.  A neighbor of
+        a simplicial vertex is never given the shedding test: it sheds.  A
+        VD component has no failing link, so its shedder is the first
+        candidate that sheds with a VD deletion and link.
         """
         for comp in _bitgraph.components(self._adj, mask):
             shedder = self._shedder.get(comp)
             if shedder is None:
                 shedder = -1
-                cands = self._candidates(comp)
-                v = cands[0]
-                first_sheds = self.sheds(comp, v)
+                marked = self._simplicial_neighbors(comp)
+                first = marked or comp
+                v = (first & -first).bit_length() - 1
+                first_sheds = marked or self.sheds(comp, v)
                 if first_sheds and not self.is_vd_mask(comp & ~self._closed(v)):
                     pass  # a failing link refutes comp
                 elif first_sheds and self.is_vd_mask(comp & ~(1 << v)):
                     shedder = v
                 else:
+                    cands = [*_bitgraph.bits(marked), *_bitgraph.bits(comp & ~marked)]
                     for u in cands:
                         if not self.is_vd_mask(comp & ~self._closed(u)):
                             break  # a failing link refutes comp
                     else:
                         for u in cands[1:]:
-                            if self.sheds(comp, u) and self.is_vd_mask(comp & ~(1 << u)):
+                            if ((marked >> u & 1 or self.sheds(comp, u))
+                                    and self.is_vd_mask(comp & ~(1 << u))):
                                 shedder = u
                                 break
                 self._shedder[comp] = shedder

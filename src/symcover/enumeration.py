@@ -3,12 +3,14 @@
 Graphs on n vertices are represented as frozensets of index pairs (i, j)
 with i < j; the invariants and the connectivity test read bitmask adjacency
 rows built once from those pairs.  Canonical forms are computed by brute
-force: vertices are partitioned by an iterated neighborhood invariant and
-the edge bitmask is maximized over all permutations that respect the
-partition.  That is exponential in the worst case but entirely adequate
-below ~8 vertices, which is all this package ever enumerates.  The same
-permutations give the automorphism group: an automorphism preserves the
-partition, so it is one of them.
+force: vertices are partitioned by an iterated neighborhood invariant,
+ranked to small integers after each round, and the edge bitmask is
+maximized over all permutations that respect the partition, each pair's
+bit read from a table cached per vertex count.  That is exponential in the
+worst case but entirely adequate below ~8 vertices, which is all this
+package ever enumerates.  The same permutations give the automorphism
+group: an automorphism preserves the partition, so it is one of them, and
+a permutation is one exactly when it maps every edge onto an edge.
 """
 
 from __future__ import annotations
@@ -23,8 +25,14 @@ from .graphs import Graph, build_graph
 EdgeSet = frozenset[tuple[int, int]]
 
 
-def _pair_index(n: int) -> dict[tuple[int, int], int]:
-    return {pair: i for i, pair in enumerate(combinations(range(n), 2))}
+@cache
+def _pair_bits(n: int) -> tuple[tuple[int, ...], ...]:
+    """``bit[a][b]``: the edge-mask bit of the pair {a, b} on n vertices,
+    pairs numbered in ``combinations`` order."""
+    bit = [[0] * n for _ in range(n)]
+    for i, (a, b) in enumerate(combinations(range(n), 2)):
+        bit[a][b] = bit[b][a] = 1 << i
+    return tuple(map(tuple, bit))
 
 
 def _rows(n: int, edges: EdgeSet) -> list[int]:
@@ -37,18 +45,24 @@ def _rows(n: int, edges: EdgeSet) -> list[int]:
 
 
 def _refined_classes(rows: Sequence[int]) -> list[list[int]]:
-    """Partition vertices by an isomorphism-invariant signature."""
-    n = len(rows)
-    sig: list[tuple] = [(rows[v].bit_count(),) for v in range(n)]
+    """Partition vertices by an isomorphism-invariant signature.
+
+    A vertex's signature starts as its degree; each round pairs it with the
+    sorted signatures of its neighbors.  After each round a signature is
+    replaced by its rank among the distinct ones.  Ranking keeps every
+    comparison, so the classes and their order are those that the nested
+    signatures would give, but the next round compares small integers.
+    """
+    nbrs = [list(bits(row)) for row in rows]
+    rank = [len(nb) for nb in nbrs]
     for _ in range(2):
-        sig = [
-            (*sig[v], tuple(sorted(sig[w] for w in bits(rows[v]))))
-            for v in range(n)
-        ]
-    classes: dict[tuple, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(sig[v], []).append(v)
-    return [classes[key] for key in sorted(classes)]
+        sig = [(rank[v], tuple(sorted([rank[w] for w in nb]))) for v, nb in enumerate(nbrs)]
+        index = {key: i for i, key in enumerate(sorted(set(sig)))}
+        rank = [index[key] for key in sig]
+    classes: list[list[int]] = [[] for _ in index]
+    for v, r in enumerate(rank):
+        classes[r].append(v)
+    return classes
 
 
 def _class_respecting_permutations(classes: list[list[int]]) -> Iterator[tuple[int, ...]]:
@@ -66,15 +80,12 @@ def _class_respecting_permutations(classes: list[list[int]]) -> Iterator[tuple[i
 
 def canonical_form(n: int, edges: EdgeSet) -> tuple:
     """A label-independent key for a graph on vertices 0..n-1."""
-    pair_index = _pair_index(n)
+    bit = _pair_bits(n)
     best_mask = -1
     for perm in _class_respecting_permutations(_refined_classes(_rows(n, edges))):
         mask = 0
         for i, j in edges:
-            a, b = perm[i], perm[j]
-            if a > b:
-                a, b = b, a
-            mask |= 1 << pair_index[(a, b)]
+            mask |= bit[perm[i]][perm[j]]
         if mask > best_mask:
             best_mask = mask
     return (n, best_mask)
@@ -84,10 +95,12 @@ def automorphisms(rows: Sequence[int]) -> list[tuple[int, ...]]:
     """Aut(G) as permutations sigma, vertex v going to sigma[v].
 
     The candidates are the permutations inside the invariant classes; the
-    ones that map every adjacency row onto the row of the image vertex are
-    the automorphisms.  The identity comes first.
+    ones that map every edge onto an edge are the automorphisms (a
+    bijection that maps the finite edge set into itself is onto).  The
+    identity comes first.
     """
     classes = _refined_classes(rows)
+    edges = [(v, w) for v, row in enumerate(rows) for w in bits(row) if w > v]
     # class-respecting relabelings send vertices to block positions; reading
     # the positions back through ``flat`` makes each one a permutation
     # within the classes, starting with the identity
@@ -95,10 +108,7 @@ def automorphisms(rows: Sequence[int]) -> list[tuple[int, ...]]:
     found = []
     for perm in _class_respecting_permutations(classes):
         sigma = tuple(flat[perm[v]] for v in range(len(rows)))
-        if all(
-            sum(1 << sigma[w] for w in bits(row)) == rows[sigma[v]]
-            for v, row in enumerate(rows)
-        ):
+        if all(rows[sigma[v]] >> sigma[w] & 1 for v, w in edges):
             found.append(sigma)
     return found
 

@@ -5,9 +5,10 @@ permutation search, naive recursion, exponent-by-exponent monomial
 arithmetic) so that the tested code paths and the oracles cannot share a
 bug.  The exceptions are ``are_isomorphic``, a test helper that compares
 the package's own canonical forms, ``colored_canonical_form``, which
-extends them to vertex colorings with the package's permutation search, and
-``ReferenceEngine``, which keeps the package's shedding test and candidate
-order but not its link rule.
+extends them to vertex colorings with the package's permutation search and
+its own pair numbering, and ``ReferenceEngine``, which keeps the package's
+shedding test but lists its candidates itself, gives every candidate the
+shedding test, and has no link rule.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from symcover.decomposability import CertificateLeaf, CertificateNode, Decomposi
 from symcover.enumeration import (
     EdgeSet,
     _class_respecting_permutations,
-    _pair_index,
     _rows,
     canonical_form,
 )
@@ -62,7 +62,7 @@ def colored_canonical_form(n: int, edges: EdgeSet, colors: Sequence[int]) -> tup
     by_sig: dict[tuple, list[int]] = {}
     for v in range(n):
         by_sig.setdefault(sig[v], []).append(v)
-    pair_index = _pair_index(n)
+    pair_index = {pair: i for i, pair in enumerate(combinations(range(n), 2))}
     best: tuple | None = None
     for perm in _class_respecting_permutations([by_sig[key] for key in sorted(by_sig)]):
         mask = 0
@@ -236,6 +236,16 @@ class ReferenceEngine(DecompositionEngine):
     """The engine's candidate loop without the link rule: each candidate in
     turn is tested for shedding, then its deletion, then its link, and a
     component is refuted only once every candidate has failed."""
+
+    def _candidates(self, mask: int) -> list[int]:
+        """Vertices of ``mask``, neighbors of simplicial vertices first, then
+        the rest, each part in increasing index order."""
+        marked = 0
+        for u in bits(mask):
+            nbrs = self._adj[u] & mask
+            if nbrs and all(nbrs & ~self._closed(w) == 0 for w in bits(nbrs)):
+                marked |= nbrs
+        return [*bits(marked), *bits(mask & ~marked)]
 
     def is_vd_mask(self, mask: int) -> bool:
         for comp in components(self._adj, mask):

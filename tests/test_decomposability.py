@@ -191,6 +191,23 @@ def test_sparse_no_is_refuted_at_a_failing_link(monkeypatch):
     assert not vertex_decomposable(g)
 
 
+def test_neighbors_of_simplicial_vertices_skip_the_shedding_test(monkeypatch):
+    # every stage of a path sheds a neighbor of an end, which the engine
+    # accepts without the shedding test; one that runs the test on each
+    # shedder makes 38 calls on P_40.  Counted, since wall time is not stable.
+    names = [f"x{i}" for i in range(1, 41)]
+    sheds = DecompositionEngine.sheds
+    calls = []
+
+    def counting(self, mask, v):
+        calls.append(v)
+        return sheds(self, mask, v)
+
+    monkeypatch.setattr(DecompositionEngine, "sheds", counting)
+    assert vertex_decomposable(build_graph(names, list(zip(names, names[1:]))))
+    assert calls == []
+
+
 def test_verdict_invariant_under_relabeling():
     # the verdict is canonical even though the certificate is not: shuffle
     # vertex order and names, re-ask, compare

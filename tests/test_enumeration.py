@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import permutations
 
@@ -27,6 +28,20 @@ def test_known_connected_counts():
     assert [len(connected_graphs_up_to_isomorphism(n)) for n in range(1, 7)] == [
         1, 1, 2, 6, 21, 112,
     ]
+
+
+def test_representatives_and_keys_are_pinned():
+    # sha256 of every representative's sorted edge list, in order, and of
+    # its canonical form, for n <= 7; taken before the invariant classes
+    # were ranked and the pair bits read from a table.  The counts above
+    # would miss a reordered or relabeled representative.
+    reps, keys = hashlib.sha256(), hashlib.sha256()
+    for n in range(8):
+        for edges in graphs_up_to_isomorphism(n):
+            reps.update(f"{sorted(edges)}\n".encode())
+            keys.update(f"{canonical_form(n, edges)}\n".encode())
+    assert reps.hexdigest() == "11904d0b965f65d6243ca50ed61503be185eda23df7e226ae98af0c970a424e9"
+    assert keys.hexdigest() == "3aa91606b2c5782fd8af0d418229cb4261cd8b3379c851e9ee301070b5e30b08"
 
 
 def test_levels_are_built_once_and_immutable():

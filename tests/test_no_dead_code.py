@@ -2,7 +2,8 @@
 
 A private function, class or constant that nothing in ``src/`` references
 besides its own definition is dead code; tests alone do not keep it alive.
-So is a public function or class that ``__init__.py`` does not export and
+So is a private method that nothing in ``src/`` calls outside its own body,
+a public function or class that ``__init__.py`` does not export and
 nothing else in ``src/`` references, and an attribute that ``src/`` assigns
 and never reads.
 """
@@ -10,7 +11,9 @@ and never reads.
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
+from typing import Iterator
 
 SRC = Path(__file__).parent.parent / "src" / "symcover"
 
@@ -25,16 +28,19 @@ def defined_names(node: ast.stmt) -> list[str]:
     return []
 
 
-def used_names(node: ast.stmt) -> set[str]:
-    used = set()
+def references(node: ast.AST) -> Iterator[str]:
+    """Every name, attribute and imported name that ``node`` mentions."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            used.add(sub.id)
+            yield sub.id
         elif isinstance(sub, ast.Attribute):
-            used.add(sub.attr)
+            yield sub.attr
         elif isinstance(sub, ast.alias):
-            used.add(sub.name)
-    return used
+            yield sub.name
+
+
+def used_names(node: ast.stmt) -> set[str]:
+    return set(references(node))
 
 
 def unreferenced(selected) -> list[str]:
@@ -58,6 +64,24 @@ def unreferenced(selected) -> list[str]:
 
 def test_every_private_module_name_is_used_in_src():
     dead = unreferenced(lambda node, name: name.startswith("_") and not name.endswith("__"))
+    assert not dead, dead
+
+
+def test_every_private_method_is_used_in_src():
+    # a method's name is looked up as an attribute, so any reference by that
+    # name outside the method's own body counts as a use
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    uses = Counter(name for tree in trees.values() for name in references(tree))
+    dead = [
+        f"{module}: {cls.name}.{method.name}"
+        for module, tree in trees.items()
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and method.name.startswith("_") and not method.name.endswith("__")
+        and uses[method.name] == Counter(references(method))[method.name]
+    ]
     assert not dead, dead
 
 

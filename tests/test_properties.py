@@ -53,8 +53,10 @@ from symcover.ideals import (  # noqa: E402
 from symcover.scenarios import _tuple_image_orders  # noqa: E402
 
 from oracles import (  # noqa: E402
+    brute_is_shedding,
     brute_maximal_independent_sets,
     brute_vertex_decomposable,
+    is_simplicial_vertex,
     recursive_render_certificate,
     reference_certificate,
     shelling_facets,
@@ -110,6 +112,17 @@ def test_vertex_links_of_a_vd_graph_are_vd(g):
         for u in g.vertex_names:
             closed = g.neighbors(u) | {u}
             assert brute_vertex_decomposable(g.delete_vertices(closed)), u
+
+
+@PROPERTY
+@given(graphs(max_vertices=9))
+def test_neighbors_of_simplicial_vertices_shed(g):
+    # Woodroofe's dominated-pair lemma, which lets the engine accept these
+    # vertices as shedders without testing them
+    for s in g.vertex_names:
+        if g.degree(s) and is_simplicial_vertex(g, s):
+            for x in g.neighbors(s):
+                assert brute_is_shedding(g, x), (g.edges, s, x)
 
 
 @PROPERTY
