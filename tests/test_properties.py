@@ -116,7 +116,7 @@ def test_vertex_links_of_a_vd_graph_are_vd(g):
 
 @PROPERTY
 @given(graphs(max_vertices=9))
-def test_neighbors_of_simplicial_vertices_shed(g):
+def test_neighbors_of_simplicial_vertices_shed_by_definition(g):
     # Woodroofe's dominated-pair lemma, which lets the engine accept these
     # vertices as shedders without testing them
     for s in g.vertex_names:
