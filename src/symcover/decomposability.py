@@ -147,11 +147,7 @@ class DecompositionEngine:
     vertex indices) and one memo, ``_shedder``, from each decided component
     mask to the vertex that decomposes it, or -1.  Every query about an
     induced subgraph shares that memo, which the sequence checker, the
-    certificate reader and the scenario search rely on.  The search in mode
-    i asks one engine on W_k, the k-fold duplication of G whiskered at every
-    vertex, about every whisker set S: whiskering G at S and duplicating k
-    times gives the induced subgraph of W_k on the shadows of G and of the
-    leaves at S.
+    certificate reader and the scenario search rely on.
     """
 
     def __init__(self, rows: Sequence[int]):

@@ -13,14 +13,17 @@ A duplication tuple is a plain ``tuple[int, ...]``, one multiplicity per
 edge; ``parse_tuple`` and ``render_tuple`` convert it from and to the
 comma-separated text of the CLI and the reports.
 
-The counterexample search builds edge duplications as adjacency rows
-(``duplicated_edge_rows``) and checks whisker dominance on edge positions
-(``dominance_rules``), by the same rules as the named versions.
+Below the named graphs, a duplication is the adjacency rows that
+``duplicated_edge_rows`` builds from edge index pairs, and this module is the
+one place that knows where the shadows sit: ``shadow_blocks`` gives each base
+vertex's block of consecutive rows as a mask, copies ascending.  Whisker
+dominance is checked on edge positions (``dominance_rules``).
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import accumulate
 from typing import Sequence
 
 from .graphs import Graph, GraphError, WhiskeredGraph
@@ -71,23 +74,30 @@ def duplicate_edges(graph: Graph, t: Sequence[int]) -> Graph:
         raise GraphError(
             f"tuple length {len(t)} does not match the {graph.edge_count} edges of the graph"
         )
-    pairs = [(graph.index_of(u), graph.index_of(v)) for u, v in graph.edges]
+    blocks = shadow_blocks(graph.vertex_count, graph.edge_indices, t)
     verts = [
         f"{name}.{p}"
-        for name, c in zip(graph.vertex_names, _copy_counts(graph.vertex_count, pairs, t))
-        for p in range(1, c + 1)
+        for name, block in zip(graph.vertex_names, blocks)
+        for p in range(1, block.bit_count() + 1)
     ]
     edges = [shadow for edge, r in zip(graph.edges, t) for shadow in expand_edge(edge, r)]
     return Graph(verts, edges)
 
 
-def _copy_counts(vertex_count: int, edges: Sequence[tuple[int, int]], t: Sequence[int]) -> list[int]:
-    """Shadows per vertex in an edge duplication: its largest edge multiplicity."""
+def shadow_blocks(
+    vertex_count: int, edges: Sequence[tuple[int, int]], t: Sequence[int]
+) -> list[int]:
+    """The mask of each base vertex's shadows in ``duplicated_edge_rows``.
+
+    A vertex has as many shadows as its largest edge multiplicity, so one on
+    no edge has none.  Its block follows those of the vertices before it,
+    and its copy p is the block's p-th lowest bit.
+    """
     copies = [0] * vertex_count
     for (i, j), r in zip(edges, t):
         copies[i] = max(copies[i], r)
         copies[j] = max(copies[j], r)
-    return copies
+    return [((1 << c) - 1) << first for c, first in zip(copies, accumulate(copies, initial=0))]
 
 
 def duplicated_edge_rows(
@@ -97,14 +107,11 @@ def duplicated_edge_rows(
 
     ``edges`` lists the graph's edges as (i, j) vertex indices in edge
     order and ``t`` their multiplicities.  The rows follow the vertex order
-    of ``duplicate_edges``: base vertices in order, copies ascending.
+    of ``duplicate_edges``, as laid out by ``shadow_blocks``.
     """
-    first = []  # row of each vertex's first shadow
-    total = 0
-    for c in _copy_counts(vertex_count, edges, t):
-        first.append(total)
-        total += c
-    rows = [0] * total
+    blocks = shadow_blocks(vertex_count, edges, t)
+    first = [b.bit_length() - b.bit_count() for b in blocks]  # row of each first shadow
+    rows = [0] * sum(b.bit_count() for b in blocks)
     for (i, j), r in zip(edges, t):
         for p, q in copy_pairs(r):
             a = first[i] + p - 1
@@ -119,8 +126,7 @@ def duplicate_vertices(graph: Graph, k: int) -> Graph:
 
     Equals edge duplication with the constant tuple (k, ..., k) except that
     every vertex gets exactly k shadows, so isolated vertices keep isolated
-    shadows.  Vertex order: the shadow x_i.p of the i-th vertex (counting
-    from 0) is vertex i*k + p - 1, which ``symbolic_power`` relies on.
+    shadows.  Vertex order: base vertices in graph order, copies ascending.
     """
     if k < 1:
         raise GraphError(f"vertex duplication multiplicity must be >= 1, got {k}")

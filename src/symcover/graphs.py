@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Mapping, Sequence
 
 from . import _bitgraph
@@ -41,7 +41,7 @@ class GraphError(ValueError):
 class Graph:
     """Finite simple undirected graph over named, ordered vertices."""
 
-    __slots__ = ("_names", "_index", "_edges", "_rows")
+    __slots__ = ("_names", "_index", "_edges", "_edge_indices", "_rows")
 
     def __init__(self, vertices: Sequence[str], edges: Sequence[tuple[str, str]] = ()):
         names = tuple(vertices)
@@ -53,7 +53,7 @@ class Graph:
                 raise GraphError(f"duplicate vertex name {name!r}")
             index[name] = i
 
-        edge_list: list[tuple[str, str]] = []
+        pairs: list[tuple[int, int]] = []
         rows = [0] * len(names)
         for u, w in edges:
             if u not in index:
@@ -67,11 +67,12 @@ class Graph:
                 raise GraphError(f"duplicate edge {{{u}, {w}}}")
             rows[i] |= 1 << j
             rows[j] |= 1 << i
-            edge_list.append((u, w))
+            pairs.append((i, j))
 
         self._names = names
         self._index = index
-        self._edges = tuple(edge_list)
+        self._edges = tuple((names[i], names[j]) for i, j in pairs)
+        self._edge_indices = tuple(pairs)
         self._rows = tuple(rows)
 
     # -- basic accessors ----------------------------------------------------
@@ -83,6 +84,10 @@ class Graph:
     @property
     def edges(self) -> tuple[tuple[str, str], ...]:
         return self._edges
+
+    @property
+    def edge_indices(self) -> tuple[tuple[int, int], ...]:
+        return self._edge_indices
 
     @property
     def vertex_count(self) -> int:
@@ -430,22 +435,26 @@ def graph_to_json_dict(graph: Graph, whiskered: WhiskeredGraph | None = None) ->
 def graph_from_json_dict(doc: Mapping) -> Graph:
     """Read a graph document.
 
-    An optional ``whiskers`` list of {"support", "leaf"} entries must make a
-    valid ``WhiskeredGraph``; the plain graph is returned.
+    Vertex names are JSON strings.  An optional ``whiskers`` list of
+    {"support", "leaf"} entries must make a valid ``WhiskeredGraph``; the
+    plain graph is returned.
     """
+    doc = {"whiskers": [], **doc}
     # a string would otherwise be read as a list of its characters
-    for key in ("vertices", "edges"):
+    for key in ("vertices", "edges", "whiskers"):
         if not isinstance(doc.get(key), list):
             raise GraphError(f"malformed graph document: {key!r} must be a JSON list")
     if not all(isinstance(e, list) for e in doc["edges"]):
         raise GraphError("malformed graph document: each edge must be a JSON list [u, v]")
     try:
-        vertices = [str(v) for v in doc["vertices"]]
-        edges = [(str(u), str(v)) for u, v in doc["edges"]]
-        whiskers = [(str(w["support"]), str(w["leaf"])) for w in doc.get("whiskers") or []]
+        edges = [(u, v) for u, v in doc["edges"]]
+        whiskers = [(w["support"], w["leaf"]) for w in doc["whiskers"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed graph document: {exc}") from exc
-    graph = build_graph(vertices, edges)
+    for name in chain(doc["vertices"], *edges, *whiskers):
+        if not isinstance(name, str):
+            raise GraphError(f"malformed graph document: vertex name {name!r} is not a string")
+    graph = build_graph(doc["vertices"], edges)
     leaves: dict[str, tuple[str, ...]] = {}
     for support, leaf in whiskers:
         leaves[support] = leaves.get(support, ()) + (leaf,)

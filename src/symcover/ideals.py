@@ -5,9 +5,10 @@ Both graph ideals come from one rule.  The symbolic power J(G)^(k)
 polarizes to the cover ideal J(G_k) of the k-fold vertex duplication (Seyed
 Fakhari, Proc. AMS 2018), so its generators are read off the maximal
 independent sets of G_k, with the shadows x_v.1 ... x_v.a merged back into
-x_v^a.  The cover ideal J(G) is the case k = 1: G_1 has G's adjacency rows,
-and each generator is the product over a minimal vertex cover of G, the
-complement of a maximal independent set.
+x_v^a.  G_k is built as rows, with the shadows of each vertex as a mask
+(see duplication.py).  The cover ideal J(G) is the case k = 1, where each
+generator is the product over a minimal vertex cover of G, the complement of
+a maximal independent set.
 
 Monomials are exponent maps over named variables; ideals always store their
 unique minimal generating set, canonically sorted by (degree, then
@@ -50,7 +51,7 @@ from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
 from . import _bitgraph
-from .duplication import duplicate_vertices, split_shadow
+from .duplication import duplicated_edge_rows, shadow_blocks, split_shadow
 from .graphs import Graph
 
 
@@ -180,26 +181,22 @@ class MonomialIdeal:
 
     __slots__ = ("_variables", "_generators", "_masks", "_whole")
 
-    def __init__(self, variables: Sequence[str], generators: Iterable[Monomial] = (),
-                 whole_ring: bool = False):
+    def __init__(self, variables: Sequence[str], generators: Iterable[Monomial] = ()):
         self._variables = tuple(variables)
         if len(set(self._variables)) != len(self._variables):
             raise IdealError("ambient variables must be distinct")
-        if whole_ring:
-            if list(generators):
-                raise IdealError("the whole-ring marker carries no generators")
-            masks: dict[Monomial, int] = {}
-        else:
-            masks = _minimalize(_slot_masks(self._variables, set(generators)))
-            if 0 in masks.values():
-                raise IdealError("a unit generator is not allowed; use the whole-ring marker")
+        masks = _minimalize(_slot_masks(self._variables, set(generators)))
+        if 0 in masks.values():
+            raise IdealError("a unit generator is not allowed; use the whole-ring marker")
         self._masks = masks
         self._generators = tuple(masks)
-        self._whole = whole_ring
+        self._whole = False
 
     @classmethod
     def whole(cls, variables: Sequence[str]) -> MonomialIdeal:
-        return cls(variables, (), whole_ring=True)
+        ideal = cls(variables)
+        ideal._whole = True
+        return ideal
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -236,11 +233,11 @@ class MonomialIdeal:
 def cover_ideal(graph: Graph) -> MonomialIdeal:
     """Ideal generated by the products over the minimal vertex covers.
 
-    This is J(G)^(1), read off G itself, which is its own G_1.  An edgeless
-    graph has the empty cover, so the result degenerates to the whole ring;
-    the marker keeps that case explicit.
+    This is J(G)^(1), as G is its own G_1.  An edgeless graph has the empty
+    cover, so the result degenerates to the whole ring; the marker keeps
+    that case explicit.
     """
-    return _symbolic_power_of(graph, 1, graph)
+    return symbolic_power(graph, 1)
 
 
 def symbolic_power(graph: Graph, k: int) -> MonomialIdeal:
@@ -248,29 +245,20 @@ def symbolic_power(graph: Graph, k: int) -> MonomialIdeal:
 
     J(G)^(k) polarizes to J(G_k) (Seyed Fakhari, Proc. AMS 2018), so each
     maximal independent set I of G_k gives one generator: the complement
-    of I is a minimal vertex cover of G_k, whose copies of x_i are
-    x_i.1 ... x_i.a, and x_i enters with exponent a = k - |I ∩ block i|.
-    ``duplicate_vertices`` puts the shadows of vertex i at bits
-    i*k ... i*k + k - 1, so block i is read off I's mask by shifting.
+    of I is a minimal vertex cover of G_k, and x_i enters with the number
+    of its shadows in that cover as exponent.
     """
     if k < 1:
         raise IdealError(f"symbolic power exponent must be >= 1, got {k}")
-    return _symbolic_power_of(graph, k, duplicate_vertices(graph, k))
-
-
-def _symbolic_power_of(graph: Graph, k: int, dup: Graph) -> MonomialIdeal:
-    """``symbolic_power(graph, k)`` read off ``dup = duplicate_vertices(graph, k)``.
-
-    For callers that already hold G_k, so it is built once; at k = 1 that is
-    the graph itself.
-    """
     names = graph.vertex_names
     if graph.edge_count == 0:
         return MonomialIdeal.whole(names)
-    block = (1 << k) - 1
+    t = (k,) * graph.edge_count
+    rows = duplicated_edge_rows(len(names), graph.edge_indices, t)
+    blocks = shadow_blocks(len(names), graph.edge_indices, t)
     gens = [
-        Monomial.of({v: k - (mis >> i * k & block).bit_count() for i, v in enumerate(names)})
-        for mis in _bitgraph.maximal_independent_sets(dup.adjacency_masks(), dup.full_mask())
+        Monomial.of({v: (block & ~mis).bit_count() for v, block in zip(names, blocks)})
+        for mis in _bitgraph.maximal_independent_sets(rows, (1 << len(rows)) - 1)
     ]
     return MonomialIdeal(names, gens)
 

@@ -15,15 +15,16 @@ The counterexample search runs on adjacency rows and vertex masks; named
 graphs appear only in its reports.  Mode i rests on an induced-subgraph
 identity: whiskering G at S and duplicating k times gives the subgraph of
 W_k induced on the shadows of G and of the leaves at S, where W is G
-whiskered at every vertex.  So one decomposability engine per base graph
-and k answers every S and shares its memo across them.  S is tried once per
-orbit of Aut(G), as the orbit's lexicographically smallest set.  Mode ii
-builds the rows of each edge duplication straight from the whiskered
-graph's edge index pairs, and decides each orbit of tuples under Aut(h),
-h the whiskered graph, once: an automorphism of h carries one tuple's
-duplication onto the other's.  Whisker dominance is not Aut(h)-invariant
-(an automorphism may swap a whisker with a leaf of G), so it is still
-checked tuple by tuple.
+whiskered at every vertex, its leaf of vertex i being vertex n + i.  W_k is
+built from G's edge index pairs and the whisker pairs (i, n + i), so one
+decomposability engine per base graph and k answers every S and shares its
+memo across them.  S is tried once per orbit of Aut(G), as the orbit's
+lexicographically smallest set.  Mode ii builds the rows of each edge
+duplication straight from the whiskered graph's edge index pairs, and
+decides each orbit of tuples under Aut(h), h the whiskered graph, once: an
+automorphism of h carries one tuple's duplication onto the other's.
+Whisker dominance is not Aut(h)-invariant (an automorphism may swap a
+whisker with a leaf of G), so it is still checked tuple by tuple.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .duplication import (
     duplicated_edge_rows,
     render_tuple,
     satisfies_whisker_dominance,
+    shadow_blocks,
     shadows_of,
 )
 from .enumeration import as_graph, automorphisms, connected_graphs_up_to_isomorphism
@@ -56,7 +58,7 @@ from .graphs import (
     glue_along_edge,
     render_graph_text,
 )
-from .ideals import _symbolic_power_of, has_linear_quotients
+from .ideals import has_linear_quotients, symbolic_power
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +218,10 @@ def verify_main_theorem(
     )
     h = whiskered.graph
     for k in range(1, k_max + 1):
-        dup = duplicate_vertices(h, k)
-        verdict = vertex_decomposable(dup)
+        verdict = vertex_decomposable(duplicate_vertices(h, k))
         report.check(f"vertex-decomposable k={k}", _yesno(verdict), asserting)
         if k <= _LQ_K_MAX:
-            ideal = _symbolic_power_of(h, k, dup)
+            ideal = symbolic_power(h, k)
             name = f"linear-quotients k={k}"
             if ideal.is_whole_ring:
                 report.observe(name, "whole ring (no generators)")
@@ -437,11 +438,7 @@ def _base_graphs(max_vertices: int) -> Iterator[tuple[Graph, str, dict[str, str]
 
 def _search_non_cycle_covers(max_vertices: int, max_k: int) -> Iterator[ScenarioReport]:
     for graph, stem, inputs in _base_graphs(max_vertices):
-        whiskered = add_whiskers(graph, graph.vertex_names).graph
-        engines = [
-            DecompositionEngine(duplicate_vertices(whiskered, k).adjacency_masks())
-            for k in range(1, max_k + 1)
-        ]
+        engines = _whiskered_engines(graph, max_k)
         for combo in _orbit_minimal_non_covers(graph.adjacency_masks()):
             report = _explore_non_cycle_cover(engines, graph, combo, inputs, stem)
             if report is not None:
@@ -473,24 +470,28 @@ def _orbit_minimal_non_covers(rows: Sequence[int]) -> Iterator[tuple[int, ...]]:
                 yield combo
 
 
-def _whiskered_shadow_mask(n: int, combo: Sequence[int], k: int) -> int:
-    """G whiskered at ``combo`` and duplicated k times, as a mask of W_k.
+def _whiskered_engines(
+    graph: Graph, max_k: int
+) -> list[tuple[DecompositionEngine, int, list[int]]]:
+    """One engine on W_k per k up to ``max_k``, W being G whiskered everywhere.
 
-    W is G whiskered at every vertex, so the leaf of vertex i is vertex
-    n + i, and the shadow of W's vertex j at copy p is bit j*k + p - 1 of
-    W_k.  The mask holds every shadow of G and the shadows of the leaves at
-    ``combo``; the subgraph it induces is the duplication of G whiskered at
-    ``combo``, up to vertex names.
+    Each comes with the mask of G's shadows in W_k and the mask of each
+    vertex's leaf shadows: with the leaf masks of S added, the first mask
+    induces G whiskered at S and duplicated k times, up to vertex names.
     """
-    mask = (1 << n * k) - 1
-    block = (1 << k) - 1
-    for i in combo:
-        mask |= block << (n + i) * k
-    return mask
+    n = graph.vertex_count
+    pairs = graph.edge_indices + tuple((i, n + i) for i in range(n))
+    engines = []
+    for k in range(1, max_k + 1):
+        t = (k,) * len(pairs)
+        blocks = shadow_blocks(2 * n, pairs, t)
+        engine = DecompositionEngine(duplicated_edge_rows(2 * n, pairs, t))
+        engines.append((engine, sum(blocks[:n]), blocks[n:]))
+    return engines
 
 
 def _explore_non_cycle_cover(
-    engines: Sequence[DecompositionEngine],
+    engines: Sequence[tuple[DecompositionEngine, int, list[int]]],
     graph: Graph,
     combo: Sequence[int],
     inputs: Mapping[str, str],
@@ -498,9 +499,8 @@ def _explore_non_cycle_cover(
 ) -> ScenarioReport | None:
     max_k = len(engines)
     verdicts: list[bool] = []
-    for k, engine in enumerate(engines, start=1):
-        mask = _whiskered_shadow_mask(graph.vertex_count, combo, k)
-        verdicts.append(engine.is_vd_mask(mask))
+    for engine, base, leaves in engines:
+        verdicts.append(engine.is_vd_mask(base | sum(leaves[i] for i in combo)))
         if not verdicts[-1]:
             break
     if not verdicts[0]:
@@ -535,15 +535,14 @@ def _search_tuple_violations(max_vertices: int, max_k: int) -> Iterator[Scenario
             yield report
             continue
         rules = dominance_rules(whiskered)
-        pairs = [(h.index_of(u), h.index_of(v)) for u, v in h.edges]
-        orders = _tuple_image_orders(h.adjacency_masks(), pairs)
+        orders = _tuple_image_orders(h.adjacency_masks(), h.edge_indices)
         shared: dict[tuple[int, ...], bool] = {}  # verdicts of images not reached yet
         for entries in product(range(1, max_k + 1), repeat=m):
             if dominates(rules, entries):
                 continue
             verdict = shared.pop(entries, None)
             if verdict is None:  # the first tuple of its Aut(h) orbit
-                rows = duplicated_edge_rows(h.vertex_count, pairs, entries)
+                rows = duplicated_edge_rows(h.vertex_count, h.edge_indices, entries)
                 verdict = DecompositionEngine(rows).is_vd()
                 for order in orders:
                     image = tuple(map(entries.__getitem__, order))

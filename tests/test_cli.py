@@ -268,6 +268,28 @@ def test_usage_errors_exit_2(capsys, c4_path, tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("doc", [
+    '{"vertices": [true, null], "edges": [[true, null]]}',
+    '{"vertices": [1, 2], "edges": [[1, 2]]}',
+    '{"vertices": ["a", "b"], "edges": [["a", 2]]}',
+    '{"vertices": [["a"], "b"], "edges": []}',
+    '{"vertices": ["a", "b"], "edges": [["a", "b"]], "whiskers": [{"support": "a", "leaf": 1}]}',
+    '{"vertices": ["a", "b"], "edges": [["a", "b"]], "whiskers": [{"support": null, "leaf": "b"}]}',
+    '{"vertices": ["a", "b"], "edges": [["a", "b"]], "whiskers": 0}',
+    '{"vertices": ["a", "b"], "edges": [["a", "b"]], "whiskers": {}}',
+    '{"vertices": ["a", "b"], "edges": [["a", "b"]], "whiskers": null}',
+], ids=["true-null", "numbers", "number-endpoint", "nested-list", "number-leaf",
+        "null-support", "whiskers-0", "whiskers-object", "whiskers-null"])
+def test_json_graph_names_are_strings(capsys, tmp_path, doc):
+    # a vertex name is a JSON string, never a value coerced to text, and
+    # whiskers, when present, are a list
+    path = tmp_path / "bad.graph"
+    path.write_text(doc)
+    code, out, err = run(capsys, "check-vd", str(path))
+    assert (code, out) == (2, ""), doc
+    assert err.startswith("error: malformed graph document") and err.count("\n") == 1, err
+
+
 def test_verify_reports_whisker_counts(capsys, tmp_path):
     # three whiskers at a make another graph and so another scenario; one
     # whisker at each support is the default and keeps the default's bytes

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import combinations
 
@@ -23,7 +24,11 @@ from symcover.ideals import (
     symbolic_power,
 )
 
-from symcover.enumeration import as_graph, connected_graphs_up_to_isomorphism
+from symcover.enumeration import (
+    as_graph,
+    connected_graphs_up_to_isomorphism,
+    graphs_up_to_isomorphism,
+)
 
 from conftest import c4, cycle, fish, five_vertex_example, p3, single_edge, whiskered_fish
 from oracles import (
@@ -128,6 +133,20 @@ def test_cover_ideal_is_the_first_symbolic_power(small_graph_atlas):
         if g.edge_count:
             covers = [Monomial.of({v: 1 for v in c}) for c in g.minimal_vertex_covers()]
             assert list(ideal.generators) == covers, g.edges
+
+
+def test_symbolic_powers_are_pinned():
+    # sha256 prefix of the text of J(G)^(k) for k = 1, 2, 3 and of J(G), for
+    # every graph on up to six vertices (624 symbolic powers), taken while
+    # symbolic_power still read G_k off the named vertex duplication
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        for edges in graphs_up_to_isomorphism(n):
+            g = as_graph(n, edges)
+            for k in (1, 2, 3):
+                digest.update(render_ideal_text(symbolic_power(g, k)).encode())
+            digest.update(render_ideal_text(cover_ideal(g)).encode())
+    assert digest.hexdigest()[:12] == "bb7d9b3b710c"
 
 
 def test_minimal_primes_examples():

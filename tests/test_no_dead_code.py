@@ -5,7 +5,7 @@ besides its own definition is dead code; tests alone do not keep it alive.
 So is a private method that nothing in ``src/`` calls outside its own body,
 a public function or class that ``__init__.py`` does not export and
 nothing else in ``src/`` references, and an attribute that ``src/`` assigns
-and never reads.
+and never reads.  A private name is also not imported into another module.
 """
 
 from __future__ import annotations
@@ -112,3 +112,16 @@ def test_every_stored_attribute_is_read_in_src():
                     read.add(node.attr)
     unread = [where for where in stored if where.rsplit(" ", 1)[1] not in read]
     assert not unread, unread
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # a private name belongs to its own module; importing the private
+    # module _bitgraph itself (``from . import _bitgraph``) is allowed
+    crossings = [
+        f"{path.name}: from .{node.module} import {alias.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.module is not None
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert not crossings, crossings

@@ -13,10 +13,11 @@ from symcover.decomposability import DecompositionEngine, vertex_decomposable
 from symcover.duplication import duplicate_vertices, duplicated_edge_rows
 from symcover.enumeration import as_graph, connected_graphs_up_to_isomorphism
 from symcover.graphs import GraphError, StarCompleteSpec, add_whiskers, build_graph
+from symcover.ideals import symbolic_power
 import symcover.scenarios
 from symcover.scenarios import (
     _orbit_minimal_non_covers,
-    _whiskered_shadow_mask,
+    _whiskered_engines,
     counterexample_search,
     verify_edge_theorem,
     verify_glue_star,
@@ -285,16 +286,15 @@ def test_shared_engine_masks_match_whiskered_duplications():
     for n in range(1, 6):
         for edges in connected_graphs_up_to_isomorphism(n):
             g = as_graph(n, edges)
-            everywhere = add_whiskers(g, g.vertex_names).graph
-            for k in (1, 2, 3):
-                engine = DecompositionEngine(duplicate_vertices(everywhere, k).adjacency_masks())
+            engines = _whiskered_engines(g, 3)
+            for k, (engine, base, leaves) in enumerate(engines, start=1):
                 for size in range(n + 1):
                     for combo in combinations(range(n), size):
                         names = [g.vertex_names[i] for i in combo]
                         expected = vertex_decomposable(
                             duplicate_vertices(add_whiskers(g, names).graph, k)
                         )
-                        got = engine.is_vd_mask(_whiskered_shadow_mask(n, combo, k))
+                        got = engine.is_vd_mask(base | sum(leaves[i] for i in combo))
                         assert got == expected, (sorted(edges), names, k)
 
 
@@ -350,8 +350,9 @@ def test_search_mode_ii_verdicts_match_cold_engines(max_vertices, max_k, reports
 
 
 def test_verify_main_builds_each_duplication_once(monkeypatch):
-    # the decomposability check and the symbolic power share one G_k
-    import symcover.ideals
+    # the decomposability check builds one named G_k per k, and the symbolic
+    # power reads G_k's rows without building a named graph
+    import symcover.graphs
     import symcover.scenarios
 
     built = []
@@ -361,10 +362,21 @@ def test_verify_main_builds_each_duplication_once(monkeypatch):
         return duplicate_vertices(graph, k)
 
     monkeypatch.setattr(symcover.scenarios, "duplicate_vertices", counting)
-    monkeypatch.setattr(symcover.ideals, "duplicate_vertices", counting)
     report = verify_main_theorem(five_vertex_example(), ["x2"], 1, k_max=2)
     assert report.overall_pass
     assert built == [1, 2]
+
+    graph = five_vertex_example()
+    constructed = []
+    init = symcover.graphs.Graph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        constructed.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(symcover.graphs.Graph, "__init__", counting_init)
+    symbolic_power(graph, 2)
+    assert constructed == []
 
 
 def test_reports_render_deterministically():
