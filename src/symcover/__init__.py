@@ -41,8 +41,6 @@ from .ideals import (
     symbolic_power,
 )
 from .decomposability import (
-    CertificateLeaf,
-    CertificateNode,
     DecompositionCertificate,
     DecompositionEngine,
     SheddingSequenceTrace,

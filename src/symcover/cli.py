@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-vd", help="decide vertex decomposability of a graph file")
     p.add_argument("graph")
-    p.add_argument("--certificate", action="store_true", help="print the witness tree")
+    p.add_argument("--certificate", action="store_true", help="print a shedding vertex for each component")
     add_format(p)
 
     p = sub.add_parser("cover-ideal", help="minimal generators of the cover ideal")
@@ -150,13 +150,13 @@ def _run_check_vd(args: argparse.Namespace) -> int:
     if args.certificate:
         cert = is_vertex_decomposable(graph)
         verdict = cert is not None
-    else:  # the verdict alone never builds the certificate tree
+    else:  # the verdict alone never builds the certificate
         verdict = vertex_decomposable(graph)
     doc = {"vertex_decomposable": verdict}
     text = f"vertex decomposable: {'yes' if verdict else 'no'}\n"
     if verdict and args.certificate:
         doc["certificate"] = render_certificate(cert)
-        text += doc["certificate"] + "\n"
+        text += "".join(f"{line}\n" for line in doc["certificate"].splitlines())
     _emit(args.format, doc, text)
     return PASS if verdict else FAIL
 

@@ -44,9 +44,11 @@ vertex is the first candidate; the full candidate list is built only for
 the link sweep, when the first candidate fails.  This mirrors the way
 whiskered graphs are actually decomposed and finds certificates fast.
 
-The engine holds only the adjacency rows and that memo.  Certificates are
-read off the memo, and every walk over one keeps its own stack.  Checking a
-certificate and unwinding it into a shelling are one walk.
+The engine holds only the adjacency rows and that memo.  A certificate is
+the part of the memo a graph reaches: one shedder per component, so it is
+never larger than the memo, however many facets the shelling has.  Each
+node is checked on its own, and every walk over a certificate keeps its
+own stack.
 """
 
 from __future__ import annotations
@@ -63,78 +65,58 @@ from .ideals import Monomial, cover_ideal, is_linear_quotients_order
 # certificates
 
 @dataclass(frozen=True)
-class CertificateLeaf:
-    """An edgeless stage; its independence complex is a simplex."""
+class DecompositionCertificate:
+    """The engine's memo for one graph, cut down to the components it reaches.
 
-    vertices: tuple[str, ...]
+    Each node is a connected component C, as its vertex names in vertex
+    order, and a vertex v that sheds C.  Every component of the graph, and
+    of C - v and C - N[v] for each node, has a node of its own.  A join of
+    vertex decomposable complexes is vertex decomposable, and so is a cone
+    over one, so the nodes prove each component vertex decomposable from the
+    smallest up, and with them the graph.  Nodes are listed by descending
+    component mask, so each comes before its children.  An edgeless graph
+    has no nodes.
+    """
 
-
-@dataclass(frozen=True)
-class CertificateNode:
-    """One shedding step with its deletion and link branches."""
-
-    shedding: str
-    deletion: "DecompositionCertificate"
-    link: "DecompositionCertificate"
-
-
-DecompositionCertificate = CertificateLeaf | CertificateNode
+    nodes: tuple[tuple[tuple[str, ...], str], ...]
 
 
 def render_certificate(cert: DecompositionCertificate) -> str:
-    """One stage per line, each branch four spaces deeper than its node."""
-    lines = []
-    stack: list[tuple[str, DecompositionCertificate | str]] = [("", cert)]
-    while stack:
-        pad, node = stack.pop()
-        if isinstance(node, str):
-            lines.append(pad + node)
-        elif isinstance(node, CertificateLeaf):
-            lines.append(f"{pad}simplex {{{', '.join(node.vertices)}}}")
-        else:
-            inner = pad + "    "
-            stack += [(inner, node.link), (pad, "  link:"), (inner, node.deletion),
-                      (pad, "  del:"), (pad, f"shed {node.shedding}")]
-    return "\n".join(lines)
+    """One line per node: ``shed v from {a, b, c}``."""
+    return "\n".join(f"shed {v} from {{{', '.join(comp)}}}" for comp, v in cert.nodes)
 
 
-def _certified_facets(graph: Graph, cert: DecompositionCertificate) -> list[int] | None:
-    """Re-check every claim a certificate makes and unwind it into a shelling
-    of the independence complex, in one walk; None when a claim fails.
-
-    Each node is checked on its vertex mask: a shedding vertex must be a
-    vertex of that induced subgraph and shed there, and a leaf must cover
-    exactly the vertices of its mask and be edgeless.  Every shed vertex
-    leaves the mask of its deletion branch, so the leaf checks pin the
-    vertex set of every node above them.  Facets of the deletion branch come
-    first, then the link branch's facets each extended by the shedding
-    vertex, so each leaf, in order, gives one facet mask: its own mask and
-    every vertex shed above it on the way into a link.
-    """
-    engine = DecompositionEngine(graph.adjacency_masks())
-    facets = []
-    stack = [(graph.full_mask(), 0, cert)]
-    while stack:
-        mask, shed, node = stack.pop()
-        if isinstance(node, CertificateLeaf):
-            if (frozenset(node.vertices) != frozenset(graph.names_of(mask))
-                    or _bitgraph.components(engine._adj, mask)):
-                return None
-            facets.append(shed | mask)
-            continue
-        if not graph.has_vertex(node.shedding):
-            return None
-        v = graph.index_of(node.shedding)
-        if not (mask >> v & 1 and engine.sheds(mask, v)):
-            return None
-        stack += [(mask & ~engine._closed(v), shed | 1 << v, node.link),
-                  (mask & ~(1 << v), shed, node.deletion)]
-    return facets
+def _branches(engine: "DecompositionEngine", comp: int, v: int) -> list[int]:
+    """The components of C - v and of C - N[v]."""
+    adj = engine._adj
+    return (_bitgraph.components(adj, comp & ~(1 << v))
+            + _bitgraph.components(adj, comp & ~engine._closed(v)))
 
 
 def validate_certificate(graph: Graph, cert: DecompositionCertificate) -> bool:
-    """Walk a certificate and re-check every claim it makes."""
-    return _certified_facets(graph, cert) is not None
+    """Re-check every claim a certificate makes.
+
+    A node is checked on its own: its names are distinct vertices of the
+    graph that induce a connected subgraph, listed by no other node, and its
+    vertex lies in that component and sheds it.  Then every component of
+    the graph and of each node's two branches must have a node.
+    """
+    engine = DecompositionEngine(graph.adjacency_masks())
+    shedders: dict[int, int] = {}
+    for names, shed in cert.nodes:
+        try:
+            comp, v = graph.mask_of(names), graph.index_of(shed)
+        except GraphError:  # a name that is not a vertex
+            return False
+        if (comp.bit_count() != len(names) or comp in shedders or not comp >> v & 1
+                or _bitgraph.components(engine._adj, comp) != [comp]
+                or not engine.sheds(comp, v)):
+            return False
+        shedders[comp] = v
+    needed = _bitgraph.components(engine._adj, graph.full_mask())
+    for comp, v in shedders.items():
+        needed += _branches(engine, comp, v)
+    return all(c in shedders for c in needed)
 
 
 # ---------------------------------------------------------------------------
@@ -286,29 +268,21 @@ def is_shedding_vertex(graph: Graph, name: str) -> bool:
 def is_vertex_decomposable(graph: Graph) -> DecompositionCertificate | None:
     """Certificate of vertex decomposability, or None when there is none.
 
-    Each stage sheds the memoized vertex of its first component.  Stages
-    are gathered on a stack, then built smallest mask first, so branches
-    that reach one mask share its subtree.
+    The walk reads the memoized shedder of each component it reaches, from
+    the components of the graph through those of each deletion and link.
     """
     engine = DecompositionEngine(graph.adjacency_masks())
     if not engine.is_vd():
         return None
-    shed: dict[int, int] = {}  # stage mask -> the vertex it sheds, or -1 when edgeless
-    stack = [graph.full_mask()]
+    reached: dict[int, int] = {}
+    stack = _bitgraph.components(engine._adj, graph.full_mask())
     while stack:
-        mask = stack.pop()
-        if mask in shed:
-            continue
-        comps = _bitgraph.components(engine._adj, mask)
-        # every component has an edge and a memoized shedder
-        v = shed[mask] = engine._shedder[comps[0]] if comps else -1
-        if comps:
-            stack += [mask & ~(1 << v), mask & ~engine._closed(v)]
-    built: dict[int, DecompositionCertificate] = {}
-    for mask, v in sorted(shed.items()):  # a branch is a submask, so it is built first
-        built[mask] = CertificateLeaf(graph.names_of(mask)) if v < 0 else CertificateNode(
-            graph.vertex_names[v], built[mask & ~(1 << v)], built[mask & ~engine._closed(v)])
-    return built[graph.full_mask()]
+        comp = stack.pop()
+        if comp not in reached:
+            v = reached[comp] = engine._shedder[comp]
+            stack += _branches(engine, comp, v)
+    return DecompositionCertificate(tuple((graph.names_of(comp), graph.vertex_names[v])
+                                          for comp, v in sorted(reached.items(), reverse=True)))
 
 
 def vertex_decomposable(graph: Graph) -> bool:
@@ -379,20 +353,32 @@ def linear_order_from_certificate(
 ) -> list[Monomial]:
     """Generator ordering of the cover ideal extracted from a certificate.
 
-    The walk that checks the certificate also unwinds it to a shelling of
-    the independence complex; complementing each facet gives the minimal
-    vertex covers in an order whose cover-product generators have linear
-    quotients.  The output is re-validated before being returned; a
-    validation failure means the construction itself is broken and raises.
+    Once the certificate checks out, it unwinds into a shelling of the
+    independence complex, one stage at a time.  A stage sheds the vertex of
+    its first component; the deletion's facets come first, then the link's,
+    each extended by the shed vertex, and an edgeless stage is one facet.
+    Complementing each facet gives the minimal vertex covers in an order
+    whose cover-product generators have linear quotients.  The output is
+    re-validated before being returned; a validation failure means the
+    construction itself is broken and raises.
     """
-    facets = _certified_facets(graph, cert)
-    if facets is None:
+    if not validate_certificate(graph, cert):
         raise GraphError("certificate does not certify this graph")
     ideal = cover_ideal(graph)
     if ideal.is_whole_ring:
         return []
-    full = graph.full_mask()
-    order = [Monomial.of({v: 1 for v in graph.names_of(full & ~facet)}) for facet in facets]
+    shedders = {graph.mask_of(names): graph.index_of(v) for names, v in cert.nodes}
+    adj, full = graph.adjacency_masks(), graph.full_mask()
+    order = []
+    stack = [(full, 0)]  # (stage mask, the vertices shed into links above it)
+    while stack:
+        mask, shed = stack.pop()
+        comps = _bitgraph.components(adj, mask)
+        if not comps:
+            order.append(Monomial.of({u: 1 for u in graph.names_of(full & ~(shed | mask))}))
+            continue
+        v = shedders[comps[0]]
+        stack += [(mask & ~(adj[v] | 1 << v), shed | 1 << v), (mask & ~(1 << v), shed)]
     if not is_linear_quotients_order(ideal, order):
         raise AssertionError(
             "internal error: certificate unwinding produced a non-linear-quotients order"

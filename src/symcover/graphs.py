@@ -437,7 +437,8 @@ def graph_from_json_dict(doc: Mapping) -> Graph:
 
     Vertex names are JSON strings.  An optional ``whiskers`` list of
     {"support", "leaf"} entries must make a valid ``WhiskeredGraph``; the
-    plain graph is returned.
+    plain graph is returned.  Any other key is an error, so a misspelt one
+    is never read as absent.
     """
     doc = {"whiskers": [], **doc}
     # a string would otherwise be read as a list of its characters
@@ -451,6 +452,10 @@ def graph_from_json_dict(doc: Mapping) -> Graph:
         whiskers = [(w["support"], w["leaf"]) for w in doc["whiskers"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed graph document: {exc}") from exc
+    unknown = (set(doc) - {"vertices", "edges", "whiskers"}).union(
+        *(set(w) - {"support", "leaf"} for w in doc["whiskers"]))
+    if unknown:
+        raise GraphError(f"malformed graph document: unknown key {min(unknown)!r}")
     for name in chain(doc["vertices"], *edges, *whiskers):
         if not isinstance(name, str):
             raise GraphError(f"malformed graph document: vertex name {name!r} is not a string")

@@ -9,6 +9,10 @@ sys.path.insert(0, str(Path(__file__).parent))
 # a test run leaves no bytecode cache under src/
 sys.dont_write_bytecode = True
 
+import hashlib
+
+from symcover.decomposability import is_vertex_decomposable, linear_order_from_certificate
+from symcover.enumeration import as_graph, graphs_up_to_isomorphism
 from symcover.graphs import StarCompleteSpec, add_whiskers, attach_star_complete, build_graph
 
 FIXTURES = Path(__file__).parent.parent / "src" / "symcover" / "fixtures"
@@ -55,11 +59,24 @@ def whiskered_fish():
     return add_whiskers(fish(), ["x5"]).graph
 
 
+def certified_order_digest(max_vertices: int) -> str:
+    """sha256 prefix of one line per graph on up to ``max_vertices``
+    vertices, one per isomorphism class: "no", or the generators of the
+    order read off its certificate."""
+    digest = hashlib.sha256()
+    for n in range(1, max_vertices + 1):
+        for edges in graphs_up_to_isomorphism(n):
+            g = as_graph(n, edges)
+            cert = is_vertex_decomposable(g)
+            line = "no" if cert is None else " ".join(
+                m.render(g.vertex_names) for m in linear_order_from_certificate(g, cert))
+            digest.update(f"{line}\n".encode())
+    return digest.hexdigest()[:12]
+
+
 @pytest.fixture(scope="session")
 def small_graph_atlas():
     """All graphs on up to 7 vertices, one labeled representative per class."""
-    from symcover.enumeration import as_graph, graphs_up_to_isomorphism
-
     atlas = []
     for n in range(1, 8):
         atlas.extend(as_graph(n, e) for e in graphs_up_to_isomorphism(n))

@@ -18,7 +18,7 @@ from itertools import combinations, permutations
 from typing import Sequence
 
 from symcover._bitgraph import bits, components
-from symcover.decomposability import CertificateLeaf, CertificateNode, DecompositionEngine
+from symcover.decomposability import DecompositionCertificate, DecompositionEngine
 from symcover.enumeration import (
     EdgeSet,
     _class_respecting_permutations,
@@ -263,53 +263,48 @@ class ReferenceEngine(DecompositionEngine):
 
 def reference_certificate(graph: Graph):
     """The certificate ``is_vertex_decomposable`` reads off its memo, built by
-    plain recursion from the reference engine's memo; None when not VD."""
+    plain recursion over the reference engine's memo; None when not VD."""
     engine = ReferenceEngine(graph.adjacency_masks())
     if not engine.is_vd():
         return None
+    nodes: dict[int, int] = {}
 
-    def build(mask: int):
-        comps = components(engine._adj, mask)
-        if not comps:
-            return CertificateLeaf(graph.names_of(mask))
-        v = engine._shedder[comps[0]]
-        return CertificateNode(graph.vertex_names[v], build(mask & ~(1 << v)),
-                               build(mask & ~engine._closed(v)))
+    def visit(mask: int) -> None:
+        for comp in components(engine._adj, mask):
+            if comp not in nodes:
+                v = nodes[comp] = engine._shedder[comp]
+                visit(comp & ~(1 << v))
+                visit(comp & ~engine._closed(v))
 
-    return build(graph.full_mask())
-
-
-def recursive_render_certificate(cert, indent: int = 0) -> str:
-    """The certificate rendering as a plain recursion, two spaces per level."""
-    pad = "  " * indent
-    if isinstance(cert, CertificateLeaf):
-        return f"{pad}simplex {{{', '.join(cert.vertices)}}}"
-    lines = [
-        f"{pad}shed {cert.shedding}",
-        f"{pad}  del:",
-        recursive_render_certificate(cert.deletion, indent + 2),
-        f"{pad}  link:",
-        recursive_render_certificate(cert.link, indent + 2),
-    ]
-    return "\n".join(lines)
+    visit(graph.full_mask())
+    return DecompositionCertificate(tuple(
+        (graph.names_of(comp), graph.vertex_names[v])
+        for comp, v in sorted(nodes.items(), reverse=True)
+    ))
 
 
-def shelling_facets(cert) -> list[frozenset[str]]:
+def shelling_facets(graph: Graph, cert) -> list[frozenset[str]]:
     """Unwind a certificate into a shelling of the independence complex.
 
-    Facets of the deletion branch come first, then the link branch's facets
-    each extended by the shedding vertex.  So each leaf, in order, gives one
-    facet: its vertices and every vertex shed above it on the way into a link.
+    Each stage sheds the certified vertex of its first component, the one
+    holding its first vertex (in vertex order) that has a neighbor.  Facets
+    of the deletion come first, then the link's facets each extended by the
+    shed vertex; an edgeless stage is one facet.
     """
-    facets = []
-    stack = [(cert, frozenset())]
-    while stack:
-        node, shed = stack.pop()
-        if isinstance(node, CertificateLeaf):
-            facets.append(shed.union(node.vertices))
-        else:
-            stack += [(node.link, shed | {node.shedding}), (node.deletion, shed)]
-    return facets
+    shedder = {frozenset(comp): v for comp, v in cert.nodes}
+
+    def unwind(stage: frozenset[str]) -> list[frozenset[str]]:
+        seeds = [v for v in graph.vertex_names if v in stage and graph.neighbors(v) & stage]
+        if not seeds:
+            return [stage]
+        comp = {seeds[0]}
+        while any(graph.neighbors(u) & stage - comp for u in comp):
+            comp |= {w for u in comp for w in graph.neighbors(u) & stage}
+        v = shedder[frozenset(comp)]
+        link = unwind(stage - closed_neighborhood(graph, v))
+        return unwind(stage - {v}) + [facet | {v} for facet in link]
+
+    return unwind(frozenset(graph.vertex_names))
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,22 @@ def test_check_vd_yes(capsys, c4_path, tmp_path):
     assert "shed" in out
 
 
+def test_check_vd_certificate_has_one_line_per_component(capsys, tmp_path):
+    # P_300's components are the suffixes from p0, p2, p3, ..., p298
+    names = [f"p{i}" for i in range(300)]
+    path = tmp_path / "p300.graph"
+    save_graph(build_graph(names, list(zip(names, names[1:]))), str(path))
+    code, out, _ = run(capsys, "check-vd", str(path), "--certificate")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 1 + 298
+    assert lines[:2] == ["vertex decomposable: yes", f"shed p1 from {{{', '.join(names)}}}"]
+    assert lines[-1] == "shed p298 from {p298, p299}"
+    edgeless = tmp_path / "edgeless.graph"
+    edgeless.write_text("vertices: a b\n")
+    assert run(capsys, "check-vd", str(edgeless), "--certificate")[:2] == (
+        0, "vertex decomposable: yes\n")
+
+
 def test_check_vd_no(capsys, c4_path):
     code, out, _ = run(capsys, "check-vd", c4_path)
     assert code == 1
@@ -46,8 +62,8 @@ def test_check_vd_no(capsys, c4_path):
 
 
 def test_check_vd_without_certificate_skips_it(capsys, tmp_path, monkeypatch):
-    # the certificate cache is keyed on whole masks, so building one for a
-    # long path takes exponential time; the verdict alone is instant
+    # the certificate is as large as the engine's memo, but the verdict
+    # alone needs none, so the verdict path never builds one
     def refuse(graph):
         raise AssertionError("check-vd built a certificate it does not print")
 
@@ -195,6 +211,15 @@ def test_usage_errors_exit_2(capsys, c4_path, tmp_path):
     crossed.write_text('{"vertices": ["a", "b"], "edges": [["a", "b"]], '
                        '"whiskers": [{"support": "a", "leaf": "b"}, {"support": "b", "leaf": "a"}]}')
     bad_whiskers.append(("check-vd", str(crossed)))
+    # a key the reader does not know, at the top level or in a whisker entry:
+    # a misspelt "edges" would otherwise drop its edges without a word
+    for i, doc in enumerate(('{"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]], '
+                             '"edge": [["a", "c"]]}',
+                             '{"vertices": ["a", "b"], "edges": [["a", "b"]], '
+                             '"whiskers": [{"support": "a", "leaf": "b", "leaves": ["b"]}]}')):
+        path = tmp_path / f"unknown_key{i}.graph"
+        path.write_text(doc)
+        bad_whiskers.append(("check-vd", str(path)))
     # a JSON string where a list belongs would be iterated as characters;
     # a name with whitespace could not be written in the text format
     not_lists = []
@@ -375,13 +400,15 @@ def test_fixture_scenarios_behave_as_pinned(capsys):
 
 
 # sha256 prefixes of stdout, taken before cover ideals were read off the
-# symbolic-power rule and the verifiers shared one report preamble
+# symbolic-power rule and the verifiers shared one report preamble; a
+# certificate printed for a "yes" was re-pinned when it became one line per
+# component
 FIXTURE_SCENARIO_DIGESTS = {
     "c4-cover-ideal": ("9025c21dbf17", "246bd158834a"),
     "c4-symbolic-square": ("c3852967b88b", "abff6c24588f"),
     "c4-symbolic-square-polarized": ("6d4a0fe7f0ff", "8ac7546aa9ba"),
     "p3-cover-linear-quotients": ("c85385c35d4c", "de52d4e891b7"),
-    "whiskered-fish-check-vd": ("0b190c5867d7", "7b57ed0a8658"),
+    "whiskered-fish-check-vd": ("1cd88299a890", "9088fa85c80e"),
     "fivevertex-main-theorem-k2": ("81dac8dd45d3", "b75c6c0acf72"),
     "fish-misses-cycle-k2-breaks": ("12674bcd8f01", "f459eefccb68"),
     "c4-edge-duplication-constant-2": ("ede466dedbd7", "ecadcb31dc07"),
@@ -395,13 +422,13 @@ FIXTURE_SCENARIO_DIGESTS = {
 }
 CERTIFICATE_DIGESTS = {
     "c4.graph": ("6ca5d7b913bf", "52eefa45eb72"),
-    "fish.graph": ("c223d0be94e9", "448281c7b657"),
-    "fish_whiskered.graph": ("0b190c5867d7", "7b57ed0a8658"),
-    "fivevertex.graph": ("7ce842a90833", "64425b9462c0"),
-    "glue_g.graph": ("1421382f9682", "6bdf48667cb8"),
-    "glue_h.graph": ("0013f1b17fd1", "b578fde0a9d7"),
-    "p3.graph": ("4a1481407140", "aa766be97eaf"),
-    "triangle_whiskered.graph": ("1f2281a9730e", "5c930603e991"),
+    "fish.graph": ("b23be190a0c7", "78075a69c5e6"),
+    "fish_whiskered.graph": ("1cd88299a890", "9088fa85c80e"),
+    "fivevertex.graph": ("773edf7e7819", "eee46c534477"),
+    "glue_g.graph": ("307d70937670", "1c10d54dfe08"),
+    "glue_h.graph": ("3bba7db5bbdc", "bb513892c6ec"),
+    "p3.graph": ("caa80b5154a7", "1cc9ffe5fe2c"),
+    "triangle_whiskered.graph": ("f46d552a3efe", "a3c6fd8ef452"),
 }
 
 

@@ -6,8 +6,7 @@ import pytest
 
 from symcover.cli import main
 from symcover.decomposability import (
-    CertificateLeaf,
-    CertificateNode,
+    DecompositionCertificate,
     DecompositionEngine,
     check_shedding_sequence,
     is_shedding_vertex,
@@ -21,7 +20,7 @@ from symcover.duplication import duplicate_edges, duplicate_vertices
 from symcover.graphs import GraphError, Graph, add_whiskers, build_graph, save_graph
 from symcover.ideals import cover_ideal, has_linear_quotients, is_linear_quotients_order
 
-from conftest import c4, fish, p3, single_edge, whiskered_fish
+from conftest import c4, certified_order_digest, fish, p3, single_edge, whiskered_fish
 from oracles import (
     brute_is_shedding,
     brute_vertex_decomposable,
@@ -132,10 +131,11 @@ def test_sheds_edge_cases():
 
 # -- vertex decomposability ----------------------------------------------------------
 
-def test_edgeless_graph_is_a_simplex_leaf():
+def test_edgeless_graph_certificate_has_no_nodes():
     g = build_graph(["a", "b"], [])
     cert = is_vertex_decomposable(g)
-    assert cert == CertificateLeaf(("a", "b"))
+    assert cert == DecompositionCertificate(())
+    assert validate_certificate(g, cert)
 
 
 def test_whiskered_fish_is_decomposable_at_k1_not_k2():
@@ -233,43 +233,58 @@ def test_isolated_vertices_do_not_change_the_verdict():
         assert vertex_decomposable(g) == vertex_decomposable(plus)
 
 
+def path_graph(n):
+    names = [f"x{i}" for i in range(1, n + 1)]
+    return build_graph(names, list(zip(names, names[1:])))
+
+
 def test_certificates_validate_and_render():
     cert = is_vertex_decomposable(p3())
-    assert isinstance(cert, CertificateNode)
+    assert cert.nodes == ((("x1", "x2", "x3"), "x2"),)
     assert validate_certificate(p3(), cert)
-    text = render_certificate(cert)
-    assert text.splitlines()[0] == "shed x2"
-    assert "simplex {x1, x3}" in text
+    assert render_certificate(cert) == "shed x2 from {x1, x2, x3}"
+    # one node per component reached, largest first: on P_5 the root, its
+    # deletion's path x3-x4-x5 (x1 is left isolated) and its link x4-x5
+    cert = is_vertex_decomposable(path_graph(5))
+    assert render_certificate(cert).splitlines() == [
+        "shed x2 from {x1, x2, x3, x4, x5}",
+        "shed x4 from {x3, x4, x5}",
+        "shed x4 from {x4, x5}",
+    ]
 
 
 def test_tampered_certificate_rejected():
-    cert = is_vertex_decomposable(p3())
-    wrong = CertificateNode("x1", cert.deletion, cert.link)
-    assert not validate_certificate(p3(), wrong)
-    assert not validate_certificate(c4(), cert)
-    swapped = CertificateNode(cert.shedding, cert.link, cert.deletion)
-    assert not validate_certificate(p3(), swapped)
-    foreign = CertificateNode("zz", CertificateLeaf(()), CertificateLeaf(()))
-    assert not validate_certificate(p3(), CertificateNode("x2", cert.deletion, foreign))
-    assert not validate_certificate(p3(), CertificateNode("zz", cert, CertificateLeaf(())))
-    # x2 shed a second time, after its deletion: it would "shed" vacuously
-    assert cert.shedding == "x2"
-    again = CertificateNode("x2", CertificateLeaf(("x1", "x3")), CertificateLeaf(()))
-    assert not validate_certificate(p3(), CertificateNode("x2", again, cert.link))
+    def rejects(graph, *nodes):
+        return not validate_certificate(graph, DecompositionCertificate(nodes))
+
+    p3_all = ("x1", "x2", "x3")
+    assert validate_certificate(p3(), DecompositionCertificate(((p3_all, "x2"),)))
+    # a vertex that does not shed its component
+    assert rejects(p3(), (p3_all, "x1"))
     # C4 whiskered at x1: x1 sheds at the root, but in the path x2-x3-x4
     # left by deleting it (x5 isolated) the end x2 does not shed
     w = add_whiskers(c4(), ["x1"]).graph
-    deep = CertificateNode(
-        "x1",
-        CertificateNode(
-            "x2",
-            CertificateNode("x3", CertificateLeaf(("x4", "x5")), CertificateLeaf(("x5",))),
-            CertificateLeaf(("x4", "x5")),
-        ),
-        CertificateLeaf(("x3",)),
-    )
-    assert not validate_certificate(w, deep)
-    assert validate_certificate(w, is_vertex_decomposable(w))
+    root = (("x1", "x2", "x3", "x4", "x5"), "x1")
+    assert is_vertex_decomposable(w).nodes == (root, (("x2", "x3", "x4"), "x3"))
+    assert rejects(w, root, (("x2", "x3", "x4"), "x2"))
+    # a vertex outside its component, and names that are not vertices
+    assert rejects(w, root, (("x2", "x3", "x4"), "x1"))
+    assert rejects(p3(), (p3_all, "zz"))
+    assert rejects(p3(), (("x1", "x2", "zz"), "x2"))
+    # a disconnected component, whose parts have valid nodes of their own,
+    # a component that repeats a name, and one listed twice
+    two = build_graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
+    assert validate_certificate(two, DecompositionCertificate(((("c", "d"), "c"), (("a", "b"), "a"))))
+    assert rejects(two, (("a", "b", "c", "d"), "a"), (("c", "d"), "c"), (("a", "b"), "a"))
+    assert rejects(p3(), (("x1", "x2", "x2", "x3"), "x2"))
+    assert rejects(p3(), (p3_all, "x2"), (p3_all, "x2"))
+    # a missing node for the root component, a deletion child or a link child
+    nodes = is_vertex_decomposable(path_graph(5)).nodes
+    assert validate_certificate(path_graph(5), DecompositionCertificate(nodes))
+    for missing in range(3):
+        assert rejects(path_graph(5), *nodes[:missing], *nodes[missing + 1:])
+    # a certificate for another graph
+    assert not validate_certificate(c4(), is_vertex_decomposable(p3()))
 
 
 def test_decomposable_cover_ideals_have_linear_quotients():
@@ -371,13 +386,20 @@ def test_order_from_certificate_whiskered_fish():
     assert is_linear_quotients_order(cover_ideal(wf), order)
 
 
+def test_certified_orders_are_pinned():
+    # every graph on up to 6 vertices (208 classes); the digest was taken
+    # while certificates were trees of stages, so the one-node-per-component
+    # certificate unwinds into the same orders
+    assert certified_order_digest(6) == "b424fd862a40"
+
+
 def test_order_from_certificate_rejects_foreign_certificate():
     cert = is_vertex_decomposable(p3())
     with pytest.raises(GraphError):
         linear_order_from_certificate(c4(), cert)
 
 
-def test_engine_without_names_gives_verdicts_but_no_certificates():
+def test_engine_verdict_agrees_with_the_certificate():
     g = whiskered_fish()
     engine = DecompositionEngine(g.adjacency_masks())
     assert engine.is_vd()
@@ -407,5 +429,5 @@ def test_deep_graphs_are_decided_within_the_recursion_limit(capsys, tmp_path):
     clique = build_graph(names, [(a, b) for i, a in enumerate(names) for b in names[i + 1:]])
     cert = is_vertex_decomposable(clique)
     assert validate_certificate(clique, cert)
-    assert len(render_certificate(cert).splitlines()) == 4 * 600 - 3
+    assert len(render_certificate(cert).splitlines()) == 599
     assert len(linear_order_from_certificate(clique, cert)) == 600
