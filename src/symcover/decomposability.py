@@ -4,7 +4,7 @@ A graph is vertex decomposable when it is edgeless, or when it has a
 shedding vertex x (no independent set of G - N[x] is maximal in G - x)
 whose deletion G - x and link G - N[x] are both vertex decomposable.
 
-The engine below answers that question exactly with four sound reductions:
+The engine below answers that question exactly with five sound reductions:
 
 * verdicts are memoized on vertex subsets of one ambient graph (deletion and
   link are both induced subgraphs, so every recursive instance is a mask),
@@ -15,9 +15,11 @@ The engine below answers that question exactly with four sound reductions:
   of a disjoint union is the join, which is vertex decomposable iff both
   factors are),
 * a vertex u whose link G - N[u] is not vertex decomposable refutes G,
-  whether u sheds or not.
+  whether u sheds or not,
+* a graph G with a simplicial vertex s is vertex decomposable iff
+  G - N[y] is for every y in N[s].
 
-That last one is the link rule: every vertex link of a vertex decomposable
+The fourth is the link rule: every vertex link of a vertex decomposable
 complex is vertex decomposable (Provan–Billera, Math. Oper. Res. 1980, for
 pure complexes; the same induction proves it for the nonpure ones of
 Björner–Wachs, Trans. AMS 1997).  Ind(G - N[u]) is the link of u in
@@ -35,14 +37,21 @@ the neighborhood of each of them; the search is at most deg x deep.  A
 neighbor w with N[w] inside N[x] leaves it nothing to pick, so x sheds at
 once (Woodroofe's dominated-pair lemma).
 
-Candidate shedding vertices are tried in canonical vertex order, neighbors
-of simplicial vertices first.  Those always shed by the dominated-pair exit:
-a simplicial s adjacent to x has N[s] inside N[x].  So the engine accepts
-them without the shedding test; the certificate validator still runs it on
-every node.  One scan of a component marks them, and the lowest marked
-vertex is the first candidate; the full candidate list is built only for
-the link sweep, when the first candidate fails.  This mirrors the way
-whiskered graphs are actually decomposed and finds certificates fast.
+The fifth is the clique rule.  N[s] is a clique, because s is simplicial.
+One way, it is the link rule.  The other way, shed the neighbors x_1, ...,
+x_m of s in turn.  Each x_i sheds by the dominated-pair exit, since s is
+still simplicial and N[s] lies inside N[x_i].  Its link in the graph left
+is G - N[x_i], because the x_j shed before it are its neighbors, and that
+link is vertex decomposable.  At the end s is isolated beside G - N[s],
+which is vertex decomposable too.  When G is vertex decomposable, every
+G - N[y] is, and the same sequence begun at x_2 in G - x_1 shows that
+G - x_1 is vertex decomposable.  So x_1 sheds G with a decomposable
+deletion and link.  The engine takes for x_1 the lowest vertex adjacent to
+any simplicial vertex and stores it as G's shedder, a certificate node,
+though the verdict never decides G - x_1.  Whiskered graphs and their
+duplications are full of simplicial vertices (every whisker leaf and its
+shadows), so the clique rule decides most of the components the engine
+meets.
 
 The engine holds only the adjacency rows and that memo.  A certificate is
 the part of the memo a graph reaches: one shedder per component, so it is
@@ -186,19 +195,19 @@ class DecompositionEngine:
 
     # -- decomposability ----------------------------------------------------
 
-    def _simplicial_neighbors(self, mask: int) -> int:
-        """The mask of vertices of ``mask`` adjacent to a simplicial vertex
-        of the induced subgraph.  Each of them sheds (the dominated-pair
-        exit of ``sheds``), and the recursion tries them first."""
+    def _simplicial_vertex(self, comp: int) -> int:
+        """The first simplicial vertex of the component ``comp`` whose lowest
+        neighbor is lowest among all simplicial vertices, or -1 if none."""
         adj = self._adj
-        marked = 0
-        probe = mask
+        # lowest: the bit of found's lowest neighbor, at first above them all
+        found, lowest = -1, self._full + 1
+        probe = comp
         while probe:
             low = probe & -probe
             probe ^= low
-            nbrs = adj[low.bit_length() - 1] & mask
-            if not nbrs & ~marked:
-                continue  # nothing left to mark, or an isolated vertex
+            nbrs = adj[low.bit_length() - 1] & comp
+            if nbrs & -nbrs >= lowest:
+                continue  # it could not lower the neighbor found so far
             # simplicial when N[u] holds all of nbrs for every neighbor u
             rest = nbrs
             while rest:
@@ -207,48 +216,52 @@ class DecompositionEngine:
                 if nbrs & ~adj[bit.bit_length() - 1] & ~bit:
                     break
             else:
-                marked |= nbrs
-        return marked
+                found, lowest = low.bit_length() - 1, nbrs & -nbrs
+                if lowest == comp & -comp:
+                    break  # no vertex of comp is lower
+        return found
 
     def is_vd_mask(self, mask: int) -> bool:
-        """Vertex decomposability of the induced subgraph on ``mask``: a
-        component's shedder is memoized once its deletion and link are decided.
+        """Vertex decomposability of the induced subgraph on ``mask``; each
+        component's shedder, or -1, is memoized.
 
-        Candidates come in a fixed order: neighbors of simplicial vertices
-        first, then the rest, each part in increasing index order.  The
-        first candidate is tried link first, and a link that is not VD
-        refutes the component at once.  When the first candidate does not
-        decompose it, every vertex link is decided, in candidate order, and
-        the first that is not VD refutes it (the link rule in the module
-        docstring); only then are the other candidates tried, shedding test
-        and then deletion, since every link is now known VD.  A neighbor of
-        a simplicial vertex is never given the shedding test: it sheds.  A
-        VD component has no failing link, so its shedder is the first
-        candidate that sheds with a VD deletion and link.
+        The clique rule decides a component C with a simplicial vertex s
+        whose neighbor x is the lowest vertex adjacent to any simplicial
+        vertex.  It decides C - N[y] for y in N[s], x's link first, and
+        stores x, or -1 at the first link that is not VD.  The plain rule
+        decides any other component.  Its lowest vertex is tried first:
+        shedding test, link, deletion.  When that fails, every vertex link
+        is decided in index order, and the first that is not VD refutes C
+        (the link rule); then the other vertices are tried, shedding test
+        and deletion, in index order.
         """
         for comp in _bitgraph.components(self._adj, mask):
             shedder = self._shedder.get(comp)
             if shedder is None:
-                shedder = -1
-                marked = self._simplicial_neighbors(comp)
-                first = marked or comp
-                v = (first & -first).bit_length() - 1
-                first_sheds = marked or self.sheds(comp, v)
-                if first_sheds and not self.is_vd_mask(comp & ~self._closed(v)):
-                    pass  # a failing link refutes comp
-                elif first_sheds and self.is_vd_mask(comp & ~(1 << v)):
-                    shedder = v
-                else:
-                    cands = [*_bitgraph.bits(marked), *_bitgraph.bits(comp & ~marked)]
-                    for u in cands:
-                        if not self.is_vd_mask(comp & ~self._closed(u)):
-                            break  # a failing link refutes comp
-                    else:
-                        for u in cands[1:]:
-                            if ((marked >> u & 1 or self.sheds(comp, u))
-                                    and self.is_vd_mask(comp & ~(1 << u))):
-                                shedder = u
-                                break
+                s = self._simplicial_vertex(comp)
+                if s >= 0:  # the clique rule
+                    nbrs = self._adj[s] & comp
+                    x = nbrs & -nbrs
+                    shedder = x.bit_length() - 1
+                    for y in (shedder, *_bitgraph.bits((nbrs | 1 << s) ^ x)):
+                        if not self.is_vd_mask(comp & ~self._closed(y)):
+                            shedder = -1  # a failing link refutes comp
+                            break
+                else:  # the plain rule
+                    shedder = -1
+                    v = (comp & -comp).bit_length() - 1
+                    if (self.sheds(comp, v) and self.is_vd_mask(comp & ~self._closed(v))
+                            and self.is_vd_mask(comp & ~(1 << v))):
+                        shedder = v
+                    else:  # the sweep meets a failing link of v first
+                        for u in _bitgraph.bits(comp):
+                            if not self.is_vd_mask(comp & ~self._closed(u)):
+                                break  # a failing link refutes comp
+                        else:
+                            for u in _bitgraph.bits(comp & ~(1 << v)):
+                                if self.sheds(comp, u) and self.is_vd_mask(comp & ~(1 << u)):
+                                    shedder = u
+                                    break
                 self._shedder[comp] = shedder
             if shedder < 0:
                 return False
@@ -270,6 +283,8 @@ def is_vertex_decomposable(graph: Graph) -> DecompositionCertificate | None:
 
     The walk reads the memoized shedder of each component it reaches, from
     the components of the graph through those of each deletion and link.
+    The clique rule skips deletions, so the walk asks the engine for each
+    component first, which decides a skipped one on demand.
     """
     engine = DecompositionEngine(graph.adjacency_masks())
     if not engine.is_vd():
@@ -279,6 +294,7 @@ def is_vertex_decomposable(graph: Graph) -> DecompositionCertificate | None:
     while stack:
         comp = stack.pop()
         if comp not in reached:
+            engine.is_vd_mask(comp)
             v = reached[comp] = engine._shedder[comp]
             stack += _branches(engine, comp, v)
     return DecompositionCertificate(tuple((graph.names_of(comp), graph.vertex_names[v])

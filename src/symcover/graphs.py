@@ -480,6 +480,8 @@ def load_graph(path: str) -> Graph:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise GraphError(f"malformed JSON graph: {exc}") from exc
+        except RecursionError:
+            raise GraphError("malformed JSON graph: nested too deeply") from None
         return graph_from_json_dict(doc)
     return parse_graph_text(text)
 

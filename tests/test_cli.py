@@ -184,6 +184,9 @@ def test_usage_errors_exit_2(capsys, c4_path, tmp_path):
                           '"whiskers": [{"leaf": "b"}]}')
     truncated = tmp_path / "truncated.graph"
     truncated.write_text('{"vertices": ["a", "b"], "edges": [["a"')
+    # nested past the JSON reader's recursion limit
+    too_deep = tmp_path / "too_deep.graph"
+    too_deep.write_text('{"vertices": ' + "[" * 100_000)
     bad_whiskers = []
     for i, whisker in enumerate(('{"leaf": "zz", "support": "a"}',
                                  '{"leaf": "b", "support": "zz"}',
@@ -261,6 +264,7 @@ def test_usage_errors_exit_2(capsys, c4_path, tmp_path):
         ("symbolic-power", str(power_name), "--k", "2"),
         ("check-vd", str(no_support)),
         ("check-vd", str(truncated)),
+        ("check-vd", str(too_deep)),
         *bad_whiskers,
         *not_lists,
         ("verify", "main", "--graph", c4_path, "--S", "x1", "--k", "0"),

@@ -192,9 +192,11 @@ def test_sparse_no_is_refuted_at_a_failing_link(monkeypatch):
 
 
 def test_neighbors_of_simplicial_vertices_skip_the_shedding_test(monkeypatch):
-    # every stage of a path sheds a neighbor of an end, which the engine
-    # accepts without the shedding test; one that runs the test on each
-    # shedder makes 38 calls on P_40.  Counted, since wall time is not stable.
+    # every component of a path the engine meets has a simplicial end, so the
+    # clique rule decides it by the links of that end's closed neighborhood
+    # and stores the end's neighbor with no shedding test; one that runs the
+    # test on each shedder makes 38 calls on P_40.  Counted, since wall time
+    # is not stable.
     names = [f"x{i}" for i in range(1, 41)]
     sheds = DecompositionEngine.sheds
     calls = []
@@ -206,6 +208,16 @@ def test_neighbors_of_simplicial_vertices_skip_the_shedding_test(monkeypatch):
     monkeypatch.setattr(DecompositionEngine, "sheds", counting)
     assert vertex_decomposable(build_graph(names, list(zip(names, names[1:]))))
     assert calls == []
+
+
+def test_a_clique_is_decided_by_its_links_alone():
+    # every vertex of K_50 is simplicial and every link is empty, so the
+    # clique rule decides K_50 without deciding any deletion: one memo entry,
+    # where an engine that decides each deletion leaves 49.
+    full = (1 << 50) - 1
+    engine = DecompositionEngine([full & ~(1 << v) for v in range(50)])
+    assert engine.is_vd()
+    assert engine._shedder == {full: 0}
 
 
 def test_verdict_invariant_under_relabeling():
@@ -417,9 +429,10 @@ def test_engine_reuses_memo_across_queries():
 
 
 def test_deep_graphs_are_decided_within_the_recursion_limit(capsys, tmp_path):
-    # the engine recurses once per shedding step (on P_n it goes link
-    # first, three vertices a step) and every certificate walk keeps its
-    # own stack
+    # the engine recurses once per link or deletion it decides: on P_n the
+    # clique rule takes the link of the second vertex first, three vertices
+    # a step, and every link of K_n is empty, so K_n needs one frame at any
+    # size.  Every certificate walk keeps its own stack
     names = [f"p{i}" for i in range(1000)]
     path = tmp_path / "p1000.graph"
     save_graph(build_graph(names, list(zip(names, names[1:]))), str(path))
@@ -431,3 +444,9 @@ def test_deep_graphs_are_decided_within_the_recursion_limit(capsys, tmp_path):
     assert validate_certificate(clique, cert)
     assert len(render_certificate(cert).splitlines()) == 599
     assert len(linear_order_from_certificate(clique, cert)) == 600
+    names = [f"k{i}" for i in range(1000)]
+    path = tmp_path / "k1000.graph"
+    save_graph(build_graph(names, [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]),
+               str(path))
+    assert main(["check-vd", str(path)]) == 0
+    assert capsys.readouterr().out == "vertex decomposable: yes\n"

@@ -114,6 +114,24 @@ def test_vertex_links_of_a_vd_graph_are_vd(g):
 
 
 @PROPERTY
+@given(graphs(max_vertices=8))
+def test_clique_rule_matches_the_definition(g):
+    # the rule the engine decides a component with a simplicial vertex s by:
+    # it is VD iff every link C - N[y], for y in N[s], is VD
+    for s in g.vertex_names:
+        if g.degree(s) and is_simplicial_vertex(g, s):
+            comp, todo = {s}, [s]
+            while todo:
+                fresh = g.neighbors(todo.pop()) - comp
+                comp |= fresh
+                todo += fresh
+            c = g.induced_subgraph(comp)
+            links = [c.delete_vertices(c.neighbors(y) | {y}) for y in c.neighbors(s) | {s}]
+            assert brute_vertex_decomposable(c) == all(map(brute_vertex_decomposable, links)), (
+                g.edges, s)
+
+
+@PROPERTY
 @given(graphs(max_vertices=9))
 def test_neighbors_of_simplicial_vertices_shed_by_definition(g):
     # Woodroofe's dominated-pair lemma, which lets the engine accept these
