@@ -18,7 +18,7 @@ import sys
 from typing import Sequence
 
 from .decomposability import is_vertex_decomposable, render_certificate, vertex_decomposable
-from .duplication import parse_tuple
+from .duplication import MAX_MULTIPLICITY, parse_tuple
 from .graphs import GraphError, StarCompleteSpec, add_whiskers, load_graph
 from .ideals import (
     IdealError,
@@ -45,6 +45,12 @@ def _parse_names(text: str) -> list[str]:
     return [part for part in text.split(",") if part]
 
 
+def _bounded(value: int, flag: str) -> int:
+    if value > MAX_MULTIPLICITY:
+        raise GraphError(f"{flag} value {value} is above {MAX_MULTIPLICITY}")
+    return value
+
+
 def _parse_counts(text: str | None) -> dict[str, int] | int:
     if not text:
         return 1
@@ -54,9 +60,10 @@ def _parse_counts(text: str | None) -> dict[str, int] | int:
         if name in out:
             raise GraphError(f"--counts names vertex {name!r} twice")
         try:
-            out[name] = int(raw)
+            count = int(raw)
         except ValueError:
             raise GraphError(f"counts entry {item!r} must look like vertex=count") from None
+        out[name] = _bounded(count, "--counts")
     return out
 
 
@@ -66,7 +73,7 @@ def _parse_spec(text: str) -> StarCompleteSpec:
         parsed = tuple(int(s) for s in sizes.split(","))
     except ValueError:
         raise GraphError(f"attachment {text!r} must look like vertex:size,size") from None
-    return StarCompleteSpec(name, parsed)
+    return StarCompleteSpec(name, tuple(_bounded(size, "--spec") for size in parsed))
 
 
 def _emit(fmt: str, doc: object, text: str) -> None:
@@ -130,8 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", help="whiskers per vertex, e.g. x1=2,x3=1")
     p.add_argument("--tuple", help="duplication tuple, e.g. 1,2,3,2")
     p.add_argument("--tuple2", help="duplication tuple of the second factor (glue only)")
-    p.add_argument("--k", type=int, default=2,
-                   help="duplication bound (main/star), or the constant tuple (edge/glue)")
+    p.add_argument("--k", type=int,
+                   help="duplication bound (main/star, default 2), or the constant tuple "
+                        "filling a tuple not given (edge/glue)")
     p.add_argument("--spec", action="append", default=[],
                    help="star attachment vertex:size,size (repeatable)")
     add_format(p)
@@ -176,23 +184,27 @@ def _run_verify(args: argparse.Namespace) -> int:
     for flag in ("S", "counts", "tuple", "spec", "graph2", "edge", "tuple2"):
         if getattr(args, flag) and flag not in reads:
             raise GraphError(f"--{flag} does not apply to verify {args.theorem}")
+    tuples = {"edge": (args.tuple,), "glue": (args.tuple, args.tuple2)}.get(args.theorem)
+    if args.k is not None and tuples and all(tuples):
+        raise GraphError(f"--k does not apply to verify {args.theorem} when every tuple is given")
+    k = 2 if args.k is None else _bounded(args.k, "--k")
     graph = load_graph(args.graph)
     names = _parse_names(args.S)
     counts = _parse_counts(args.counts)
 
     def tuple_for(raw: str | None, edge_count: int) -> tuple[int, ...]:
         # a tuple can be spelled out or given as --k for the constant tuple
-        return parse_tuple(raw) if raw else (args.k,) * edge_count
+        return parse_tuple(raw) if raw else (k,) * edge_count
 
     if args.theorem == "main":
-        report = verify_main_theorem(graph, names, counts, k_max=args.k)
+        report = verify_main_theorem(graph, names, counts, k_max=k)
     elif args.theorem == "edge":
         whiskered_edges = add_whiskers(graph, names, counts).graph.edge_count
         report = verify_edge_theorem(graph, names, counts,
                                      tuple_for(args.tuple, whiskered_edges))
     elif args.theorem == "star":
         specs = [_parse_spec(s) for s in args.spec]
-        report = verify_glue_star(graph, names, specs, k_max=args.k)
+        report = verify_glue_star(graph, names, specs, k_max=k)
     else:
         if not (args.graph2 and args.edge):
             raise GraphError("verify glue needs --graph2 and --edge")
@@ -201,13 +213,8 @@ def _run_verify(args: argparse.Namespace) -> int:
             raise GraphError("--edge must look like u,v")
         u, v = ends
         h = load_graph(args.graph2)
-        report = verify_glue_theorem(
-            graph,
-            h,
-            (u, v),
-            tuple_for(args.tuple, graph.edge_count),
-            tuple_for(args.tuple2, h.edge_count),
-        )
+        report = verify_glue_theorem(graph, h, (u, v), tuple_for(args.tuple, graph.edge_count),
+                                     tuple_for(args.tuple2, h.edge_count))
     _emit(args.format, report.to_json_dict(), report.to_text())
     return PASS if report.overall_pass else FAIL
 
@@ -222,7 +229,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             _print_ideal(cover_ideal_of(load_graph(args.graph)), args.format)
             return PASS
         if args.command == "symbolic-power":
-            _print_ideal(symbolic_power(load_graph(args.graph), args.k), args.format)
+            k = _bounded(args.k, "--k")
+            _print_ideal(symbolic_power(load_graph(args.graph), k), args.format)
             return PASS
         if args.command == "polarize":
             _print_ideal(polarize(load_ideal(args.ideal)), args.format)

@@ -17,7 +17,7 @@ Below the named graphs, a duplication is the adjacency rows that
 ``duplicated_edge_rows`` builds from edge index pairs, and this module is the
 one place that knows where the shadows sit: ``shadow_blocks`` gives each base
 vertex's block of consecutive rows as a mask, copies ascending.  Whisker
-dominance is checked on edge positions (``dominance_rules``).
+dominance is a list of edge position pairs (``dominance_rules``).
 """
 
 from __future__ import annotations
@@ -29,15 +29,21 @@ from typing import Sequence
 from .graphs import Graph, GraphError, WhiskeredGraph
 
 
+# the largest multiplicity, and so exponent, read from text: J(G)^(k) has
+# generators with exponent k, and a slot mask holds one bit per unit of
+# exponent, so a short file or flag could otherwise ask for gigabytes
+MAX_MULTIPLICITY = 10_000
+
+
 def parse_tuple(text: str) -> tuple[int, ...]:
-    """A duplication tuple from comma-separated multiplicities, each >= 0."""
+    """A duplication tuple from comma-separated multiplicities in 0..MAX_MULTIPLICITY."""
     try:
         t = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise GraphError(f"malformed duplication tuple {text!r}") from exc
     for v in t:
-        if v < 0:
-            raise GraphError(f"duplication multiplicities must be >= 0, got {v}")
+        if not 0 <= v <= MAX_MULTIPLICITY:
+            raise GraphError(f"duplication multiplicity {v} is not in 0..{MAX_MULTIPLICITY}")
     return t
 
 
@@ -70,10 +76,7 @@ def duplicate_edges(graph: Graph, t: Sequence[int]) -> Graph:
     edges.  Vertex order: base vertices in graph order, copies ascending.
     Edge order: edges in graph order, each expansion in (p, q) order.
     """
-    if len(t) != graph.edge_count:
-        raise GraphError(
-            f"tuple length {len(t)} does not match the {graph.edge_count} edges of the graph"
-        )
+    _check_tuple_length(graph, t)
     blocks = shadow_blocks(graph.vertex_count, graph.edge_indices, t)
     verts = [
         f"{name}.{p}"
@@ -156,37 +159,28 @@ def shadows_of(graph: Graph, base: str) -> tuple[str, ...]:
     return tuple(name for _, name in copies)
 
 
-DominanceRule = tuple[tuple[int, ...], tuple[int, ...]]
+def dominance_rules(whiskered: WhiskeredGraph) -> tuple[tuple[int, int], ...]:
+    """Whisker dominance as (whisker edge, base edge) position pairs.
 
-
-def dominance_rules(whiskered: WhiskeredGraph) -> tuple[DominanceRule, ...]:
-    """Whisker dominance as edge positions, one rule per support vertex.
-
-    A rule is (positions of the support's base edges, positions of its
-    whisker edges) in the whiskered graph's edge order; supports without
-    base edges give no rule.  A base edge of a support joins it to a vertex
-    that is not its own leaf: another support's leaf has degree 1, so it is
-    never adjacent.
+    One pair (w, b) per inequality t[w] >= t[b]: w is a whisker edge at a
+    support and b a base edge at the same support, as positions in the
+    whiskered graph's edge order.  A base edge of a support joins it to a
+    vertex that is not its own leaf: another support's leaf has degree 1,
+    so it is never adjacent.
     """
-    graph = whiskered.graph
-    position = {frozenset(e): i for i, e in enumerate(graph.edges)}
-    rules = []
+    edges = whiskered.graph.edges
+    position = {frozenset(e): i for i, e in enumerate(edges)}
+    pairs = []
     for support, leaves in whiskered.leaves.items():
-        incident = tuple(
-            position[frozenset((support, nbr))]
-            for nbr in graph.neighbors(support) if nbr not in leaves
-        )
-        if incident:
-            rules.append((incident, tuple(position[frozenset((support, x))] for x in leaves)))
-    return tuple(rules)
+        whiskers = [position[frozenset((support, leaf))] for leaf in leaves]
+        bases = [i for i, e in enumerate(edges) if support in e and i not in whiskers]
+        pairs += [(w, b) for w in whiskers for b in bases]
+    return tuple(pairs)
 
 
-def dominates(rules: Sequence[DominanceRule], t: Sequence[int]) -> bool:
-    """True iff at every rule each whisker entry is >= each base-edge entry."""
-    return all(
-        min(t[i] for i in whiskers) >= max(t[i] for i in incident)
-        for incident, whiskers in rules
-    )
+def dominates(pairs: Sequence[tuple[int, int]], t: Sequence[int]) -> bool:
+    """True iff t[w] >= t[b] for every pair (w, b) of ``dominance_rules``."""
+    return all(t[w] >= t[b] for w, b in pairs)
 
 
 def satisfies_whisker_dominance(whiskered: WhiskeredGraph, t: Sequence[int]) -> bool:
@@ -196,9 +190,11 @@ def satisfies_whisker_dominance(whiskered: WhiskeredGraph, t: Sequence[int]) -> 
     must be >= the multiplicity of every non-whisker edge incident to x.
     Vacuously true when there are no whiskers; constant tuples always pass.
     """
-    graph = whiskered.graph
-    if len(t) != graph.edge_count:
-        raise GraphError(
-            f"tuple length {len(t)} does not match the {graph.edge_count} edges of the graph"
-        )
+    _check_tuple_length(whiskered.graph, t)
     return dominates(dominance_rules(whiskered), t)
+
+
+def _check_tuple_length(graph: Graph, t: Sequence[int]) -> None:
+    if len(t) != graph.edge_count:
+        raise GraphError(f"tuple length {len(t)} does not match "
+                         f"the {graph.edge_count} edges of the graph")

@@ -51,7 +51,7 @@ from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
 from . import _bitgraph
-from .duplication import duplicated_edge_rows, shadow_blocks, split_shadow
+from .duplication import MAX_MULTIPLICITY, duplicated_edge_rows, shadow_blocks, split_shadow
 from .graphs import Graph
 
 
@@ -112,11 +112,6 @@ class Monomial:
         return f"Monomial({self.render()})"
 
 
-# a slot mask holds one bit per unit of exponent, so an exponent read from
-# text is bounded to keep a short file from asking for gigabytes
-_MAX_EXPONENT = 10_000
-
-
 def parse_monomial(text: str) -> Monomial:
     text = text.strip()
     if text == "1":
@@ -132,8 +127,8 @@ def parse_monomial(text: str) -> Monomial:
                 e = int(raw)
             except ValueError:
                 raise IdealError(f"bad exponent in factor {factor!r}") from None
-            if e > _MAX_EXPONENT:
-                raise IdealError(f"exponent in factor {factor!r} is above {_MAX_EXPONENT}")
+            if e > MAX_MULTIPLICITY:
+                raise IdealError(f"exponent in factor {factor!r} is above {MAX_MULTIPLICITY}")
         else:
             var, e = factor, 1
         if not var:

@@ -534,11 +534,11 @@ def _search_tuple_violations(max_vertices: int, max_k: int) -> Iterator[Scenario
             )
             yield report
             continue
-        rules = dominance_rules(whiskered)
+        dominance = dominance_rules(whiskered)
         orders = _tuple_image_orders(h.adjacency_masks(), h.edge_indices)
         shared: dict[tuple[int, ...], bool] = {}  # verdicts of images not reached yet
         for entries in product(range(1, max_k + 1), repeat=m):
-            if dominates(rules, entries):
+            if dominates(dominance, entries):
                 continue
             verdict = shared.pop(entries, None)
             if verdict is None:  # the first tuple of its Aut(h) orbit
@@ -546,7 +546,7 @@ def _search_tuple_violations(max_vertices: int, max_k: int) -> Iterator[Scenario
                 verdict = DecompositionEngine(rows).is_vd()
                 for order in orders:
                     image = tuple(map(entries.__getitem__, order))
-                    if image > entries and not dominates(rules, image):
+                    if image > entries and not dominates(dominance, image):
                         shared[image] = verdict
             t = render_tuple(entries)
             report = ScenarioReport(scenario=f"{base}/t={t}", inputs={**inputs, "tuple": t})

@@ -12,6 +12,7 @@ sys.dont_write_bytecode = True
 import hashlib
 
 from symcover.decomposability import is_vertex_decomposable, linear_order_from_certificate
+from symcover.duplication import duplicate_edges
 from symcover.enumeration import as_graph, graphs_up_to_isomorphism
 from symcover.graphs import StarCompleteSpec, add_whiskers, attach_star_complete, build_graph
 
@@ -57,6 +58,19 @@ def fish():
 
 def whiskered_fish():
     return add_whiskers(fish(), ["x5"]).graph
+
+
+def random_graph(rng, n, p=0.5, prefix="x"):
+    """G(n, p) on ``prefix``1..``prefix``n, each pair drawn from ``rng`` in order."""
+    names = [f"{prefix}{i}" for i in range(1, n + 1)]
+    edges = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :] if rng.random() < p]
+    return build_graph(names, edges)
+
+
+def boundary_duplication():
+    """(C4 with a whisker at x1)(3,1,1,3,1): not decomposable, and x1.1 its one shedder."""
+    w = add_whiskers(c4(), ["x1"])
+    return duplicate_edges(w.graph, (3, 1, 1, 3, 1))
 
 
 def certified_order_digest(max_vertices: int) -> str:

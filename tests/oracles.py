@@ -25,7 +25,7 @@ from symcover.enumeration import (
     _rows,
     canonical_form,
 )
-from symcover.graphs import Graph
+from symcover.graphs import Graph, WhiskeredGraph
 from symcover.ideals import IdealError, Monomial, MonomialIdeal
 
 
@@ -39,6 +39,19 @@ def closed_neighborhood(graph: Graph, x: str) -> frozenset[str]:
 def is_simplicial_vertex(graph: Graph, x: str) -> bool:
     """True iff the closed neighborhood of x induces a clique."""
     return all(graph.has_edge(a, b) for a, b in combinations(graph.neighbors(x), 2))
+
+
+def brute_whisker_dominance(whiskered: WhiskeredGraph, t: Sequence[int]) -> bool:
+    """At every support x, each whisker edge {x, leaf} has an entry of ``t``
+    at least that of each other edge {x, y}; ``t`` follows the edge list."""
+    graph = whiskered.graph
+    entry = {frozenset(e): r for e, r in zip(graph.edges, t)}
+    for x, leaves in whiskered.leaves.items():
+        for leaf in leaves:
+            for y in graph.neighbors(x) - set(leaves):
+                if entry[frozenset((x, leaf))] < entry[frozenset((x, y))]:
+                    return False
+    return True
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

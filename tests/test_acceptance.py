@@ -17,8 +17,6 @@ from __future__ import annotations
 import json
 import random
 
-import pytest
-
 from symcover.cli import main as cli_main
 from symcover.decomposability import (
     is_shedding_vertex,
@@ -37,7 +35,7 @@ from symcover.ideals import (
     symbolic_power,
 )
 
-from conftest import FIXTURES, c4, cycle, fish, five_vertex_example, whiskered_fish
+from conftest import FIXTURES, boundary_duplication, c4, cycle, five_vertex_example, whiskered_fish
 from oracles import is_shedding_vertex_by_definition, symbolic_power_by_intersection
 
 
@@ -92,11 +90,6 @@ def test_criterion_4_fish_counterexample():
     wf = whiskered_fish()
     ok = vertex_decomposable(wf) and not vertex_decomposable(duplicate_vertices(wf, 2))
     report(4, "fish-counterexample", ok)
-
-
-def boundary_duplication():
-    w = add_whiskers(c4(), ["x1"])
-    return duplicate_edges(w.graph, (3, 1, 1, 3, 1))
 
 
 def test_criterion_5a_boundary_not_decomposable():

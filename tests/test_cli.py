@@ -352,6 +352,46 @@ def test_verify_edge_constant_k_counts_whiskers_once(capsys):
         assert "t=1,1,1,1,1" in out
 
 
+HUGE = "99999999999999999999"
+GLUE = ("--graph", str(FIXTURES / "glue_g.graph"), "--graph2", str(FIXTURES / "glue_h.graph"),
+        "--edge", "x1,x2")
+
+
+@pytest.mark.parametrize("argv", [
+    ("symbolic-power", "{c4}", "--k", HUGE),
+    ("verify", "main", "--graph", "{c4}", "--S", "x1", "--k", "5000000000"),
+    ("verify", "edge", "--graph", "{c4}", "--S", "x1", "--tuple", f"1,1,1,1,{HUGE}"),
+    ("verify", "glue", *GLUE, "--tuple", "1,1,1,1,1,1", "--tuple2", "1,1,1,10001"),
+    ("verify", "main", "--graph", "{c4}", "--S", "x1", "--counts", f"x1={HUGE}", "--k", "1"),
+    ("verify", "star", "--graph", "{c4}", "--S", "x1", "--spec", f"x1:3,{HUGE}", "--k", "1"),
+], ids=["k", "verify-k", "tuple", "tuple2", "counts", "spec"])
+def test_multiplicity_flags_are_bounded(capsys, c4_path, argv):
+    # one bound for every multiplicity read from the command line, the
+    # exponent bound of the ideal reader: J(G)^(k) has generators with
+    # exponent k, so a larger one would print an ideal that does not load
+    code, out, err = run(capsys, *(arg.format(c4=c4_path) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "10000" in err, err
+
+
+def test_verify_k_must_fill_a_tuple(capsys, c4_path):
+    # --k fills a tuple that is not given, so next to every tuple it would
+    # be dropped without a word
+    for argv in (("edge", "--graph", c4_path, "--S", "x1", "--tuple", "2,2,2,2,2"),
+                 ("glue", *GLUE, "--tuple", "1,1,1,1,1,1", "--tuple2", "1,1,1,1")):
+        code, out, err = run(capsys, "verify", *argv, "--k", "3")
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: --k does not apply to verify {argv[0]} when every tuple is given\n"
+    glue = ("verify", "glue", *GLUE, "--tuple", "1,1,1,1,1,1")
+    assert run(capsys, *glue, "--k", "1") == run(capsys, *glue, "--tuple2", "1,1,1,1")
+    edge = ("verify", "edge", "--graph", c4_path, "--S", "x1")
+    assert run(capsys, *edge) == run(capsys, *edge, "--tuple", "2,2,2,2,2")
+    # main and star read --k as their duplication bound, 2 by default
+    for extra in (("main",), ("star", "--spec", "x1:3")):
+        argv = ("verify", *extra, "--graph", c4_path, "--S", "x1")
+        assert run(capsys, *argv) == run(capsys, *argv, "--k", "2")
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     src = str(Path(symcover.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(

@@ -17,10 +17,12 @@ from symcover.decomposability import (
     vertex_decomposable,
 )
 from symcover.duplication import duplicate_edges, duplicate_vertices
-from symcover.graphs import GraphError, Graph, add_whiskers, build_graph, save_graph
+from symcover.graphs import GraphError, add_whiskers, build_graph, save_graph
 from symcover.ideals import cover_ideal, has_linear_quotients, is_linear_quotients_order
 
-from conftest import c4, certified_order_digest, fish, p3, single_edge, whiskered_fish
+from conftest import (
+    boundary_duplication, c4, certified_order_digest, p3, random_graph, single_edge, whiskered_fish,
+)
 from oracles import (
     brute_is_shedding,
     brute_vertex_decomposable,
@@ -28,17 +30,6 @@ from oracles import (
     is_simplicial_vertex,
     reference_certificate,
 )
-
-
-def random_graph(rng, n, p=0.5, prefix="x"):
-    names = [f"{prefix}{i}" for i in range(1, n + 1)]
-    edges = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :] if rng.random() < p]
-    return build_graph(names, edges)
-
-
-def boundary_duplication() -> Graph:
-    w = add_whiskers(c4(), ["x1"])
-    return duplicate_edges(w.graph, (3, 1, 1, 3, 1))
 
 
 # -- shedding ---------------------------------------------------------------------

@@ -21,14 +21,8 @@ from symcover.graphs import GraphError, add_whiskers, build_graph
 from symcover.ideals import cover_ideal
 from symcover.scenarios import _tuple_image_orders
 
-from conftest import c4, cycle, fish, single_edge
+from conftest import c4, cycle, fish, random_graph, single_edge
 from oracles import are_isomorphic
-
-
-def random_graph(rng, n, p=0.5):
-    names = [f"x{i}" for i in range(1, n + 1)]
-    edges = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :] if rng.random() < p]
-    return build_graph(names, edges)
 
 
 def pairs(edges):
@@ -101,7 +95,8 @@ def test_tuple_text_round_trip_and_errors():
     assert parse_tuple("1,2,3,2") == (1, 2, 3, 2)
     assert parse_tuple("0") == (0,)
     assert render_tuple((1, 2, 3, 2)) == "1,2,3,2"
-    for bad in ("", "1,,2", "1,x", "1.5", "1,-1"):
+    assert parse_tuple("10000") == (10000,)
+    for bad in ("", "1,,2", "1,x", "1.5", "1,-1", "1,10001"):
         with pytest.raises(GraphError):
             parse_tuple(bad)
 

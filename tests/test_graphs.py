@@ -23,7 +23,7 @@ from symcover.graphs import (
 
 from symcover._bitgraph import components
 
-from conftest import c4, cycle, fish, five_vertex_example, p3, single_edge, whiskered_fish
+from conftest import c4, fish, five_vertex_example, p3, random_graph, single_edge, whiskered_fish
 from oracles import (
     brute_independent,
     brute_maximal_independent_sets,
@@ -33,12 +33,6 @@ from oracles import (
     is_simplicial_vertex,
     subsets,
 )
-
-
-def random_graph(rng, n, p=0.5):
-    names = [f"v{i}" for i in range(1, n + 1)]
-    edges = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :] if rng.random() < p]
-    return build_graph(names, edges)
 
 
 # -- construction -----------------------------------------------------------
@@ -175,7 +169,7 @@ def test_minimal_vertex_covers_examples():
 def test_independence_and_covers_match_brute_force():
     rng = random.Random(7)
     for _ in range(25):
-        g = random_graph(rng, rng.randint(1, 7))
+        g = random_graph(rng, rng.randint(1, 7), prefix="v")
         assert set(g.maximal_independent_sets()) == brute_maximal_independent_sets(g)
         assert set(g.minimal_vertex_covers()) == brute_minimal_vertex_covers(g)
         # complement relation between the two collections
@@ -205,7 +199,7 @@ def test_is_cycle_cover_examples():
 def test_cycle_cover_matches_dfs_oracle():
     rng = random.Random(11)
     for _ in range(25):
-        g = random_graph(rng, rng.randint(1, 6))
+        g = random_graph(rng, rng.randint(1, 6), prefix="v")
         for s in subsets(g.vertex_names):
             assert g.is_cycle_cover(s) == (not dfs_has_cycle(g, set(s)))
 
@@ -213,7 +207,7 @@ def test_cycle_cover_matches_dfs_oracle():
 def test_every_vertex_cover_is_a_cycle_cover():
     rng = random.Random(13)
     for _ in range(25):
-        g = random_graph(rng, rng.randint(1, 7))
+        g = random_graph(rng, rng.randint(1, 7), prefix="v")
         for cover in g.minimal_vertex_covers():
             assert g.is_cycle_cover(cover)
 
@@ -228,7 +222,7 @@ def test_minimum_cycle_cover_examples():
 def test_minimum_cycle_cover_matches_brute_force():
     rng = random.Random(17)
     for _ in range(15):
-        g = random_graph(rng, rng.randint(1, 6))
+        g = random_graph(rng, rng.randint(1, 6), prefix="v")
         ours = g.minimum_cycle_cover()
         brute = brute_minimum_cycle_cover(g)
         assert len(ours) == len(brute)
@@ -259,7 +253,7 @@ def test_add_whiskers_fish_names_follow_figure():
 def test_add_whiskers_round_trip():
     rng = random.Random(19)
     for _ in range(10):
-        g = random_graph(rng, rng.randint(1, 6))
+        g = random_graph(rng, rng.randint(1, 6), prefix="v")
         supports = [v for v in g.vertex_names if rng.random() < 0.5]
         counts = {s: rng.randint(1, 3) for s in supports}
         w = add_whiskers(g, supports, counts)

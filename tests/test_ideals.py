@@ -30,7 +30,9 @@ from symcover.enumeration import (
     graphs_up_to_isomorphism,
 )
 
-from conftest import c4, cycle, fish, five_vertex_example, p3, single_edge, whiskered_fish
+from conftest import (
+    c4, cycle, fish, five_vertex_example, p3, random_graph, single_edge, whiskered_fish,
+)
 from oracles import (
     EdgePrime,
     brute_symbolic_generators,
@@ -60,12 +62,6 @@ def m(text: str) -> Monomial:
 
 def gens(ideal: MonomialIdeal) -> set[str]:
     return {g.render(ideal.variables) for g in ideal.generators}
-
-
-def random_graph(rng, n, p=0.5):
-    names = [f"x{i}" for i in range(1, n + 1)]
-    edges = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :] if rng.random() < p]
-    return build_graph(names, edges)
 
 
 # -- monomials -------------------------------------------------------------------

@@ -28,7 +28,13 @@ from symcover.decomposability import (  # noqa: E402
     validate_certificate,
     vertex_decomposable,
 )
-from symcover.duplication import duplicate_edges, parse_tuple, render_tuple  # noqa: E402
+from symcover.duplication import (  # noqa: E402
+    MAX_MULTIPLICITY,
+    duplicate_edges,
+    parse_tuple,
+    render_tuple,
+    satisfies_whisker_dominance,
+)
 from symcover.enumeration import automorphisms  # noqa: E402
 from symcover.graphs import (  # noqa: E402
     GraphError,
@@ -55,6 +61,7 @@ from oracles import (  # noqa: E402
     brute_is_shedding,
     brute_maximal_independent_sets,
     brute_vertex_decomposable,
+    brute_whisker_dominance,
     is_simplicial_vertex,
     reference_certificate,
     shelling_facets,
@@ -171,6 +178,25 @@ def test_edge_duplication_verdict_is_constant_on_orbits(case):
     for sigma, order in zip(automorphisms(rows)[1:], _tuple_image_orders(rows, edges)):
         image = [t[i] for i in order]
         assert vertex_decomposable(duplicate_edges(g, image)) == verdict, (g.edges, sigma, t)
+
+
+@st.composite
+def whiskered_with_tuples(draw):
+    g = draw(graphs())
+    supports = draw(st.lists(st.sampled_from(g.vertex_names), unique=True))
+    w = add_whiskers(g, supports, {s: draw(st.integers(1, 3)) for s in supports})
+    m = w.graph.edge_count
+    return w, tuple(draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)))
+
+
+@PROPERTY
+@given(whiskered_with_tuples())
+def test_whisker_dominance_matches_the_definition(case):
+    # the cases hold supports with several whiskers, supports with no base
+    # edge (isolated in g) and zero entries
+    w, t = case
+    assert satisfies_whisker_dominance(w, t) == brute_whisker_dominance(w, t), (
+        w.graph.edges, t)
 
 
 # -- parsers ------------------------------------------------------------------
@@ -311,6 +337,6 @@ def test_depolarize_undoes_polarize(ideal):
 
 
 @PROPERTY
-@given(st.lists(st.integers(min_value=0), min_size=1, max_size=8).map(tuple))
+@given(st.lists(st.integers(0, MAX_MULTIPLICITY), min_size=1, max_size=8).map(tuple))
 def test_tuple_text_round_trip(t):
     assert parse_tuple(render_tuple(t)) == t
