@@ -77,7 +77,11 @@ def maximal_independent_sets(adj: Sequence[int], mask: int) -> Iterator[int]:
         else:
             pivot = -1
             best = -1
-            for u in bits(p | x):
+            probe = p | x
+            while probe:
+                low = probe & -probe
+                probe ^= low
+                u = low.bit_length() - 1
                 score = (p & na[u]).bit_count()
                 if score > best:
                     best = score

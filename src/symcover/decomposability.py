@@ -374,15 +374,19 @@ def linear_order_from_certificate(
     its first component; the deletion's facets come first, then the link's,
     each extended by the shed vertex, and an edgeless stage is one facet.
     Complementing each facet gives the minimal vertex covers in an order
-    whose cover-product generators have linear quotients.  The output is
-    re-validated before being returned; a validation failure means the
-    construction itself is broken and raises.
+    whose cover-product generators have linear quotients.  Each cover, a
+    vertex mask, is looked up among the cover ideal's generators, keyed by
+    their vertex masks.  The output is re-validated before being returned;
+    a cover that is no generator, or an order without linear quotients,
+    means the construction itself is broken and raises.
     """
     if not validate_certificate(graph, cert):
         raise GraphError("certificate does not certify this graph")
     ideal = cover_ideal(graph)
     if ideal.is_whole_ring:
         return []
+    bit = {name: 1 << i for i, name in enumerate(graph.vertex_names)}
+    generator_of = {sum(bit[name] for name, _ in g.exps): g for g in ideal.generators}
     shedders = {graph.mask_of(names): graph.index_of(v) for names, v in cert.nodes}
     adj, full = graph.adjacency_masks(), graph.full_mask()
     order = []
@@ -391,12 +395,13 @@ def linear_order_from_certificate(
         mask, shed = stack.pop()
         comps = _bitgraph.components(adj, mask)
         if not comps:
-            order.append(Monomial.of({u: 1 for u in graph.names_of(full & ~(shed | mask))}))
+            order.append(generator_of.get(full & ~(shed | mask)))
             continue
         v = shedders[comps[0]]
         stack += [(mask & ~(adj[v] | 1 << v), shed | 1 << v), (mask & ~(1 << v), shed)]
-    if not is_linear_quotients_order(ideal, order):
+    if None in order or not is_linear_quotients_order(ideal, order):
         raise AssertionError(
-            "internal error: certificate unwinding produced a non-linear-quotients order"
+            "internal error: certificate unwinding produced a non-generator or a "
+            "non-linear-quotients order"
         )
     return order

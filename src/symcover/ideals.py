@@ -10,6 +10,17 @@ x_v^a.  G_k is built as rows, with the shadows of each vertex as a mask
 generator is the product over a minimal vertex cover of G, the complement of
 a maximal independent set.
 
+Those generators are minimal as read, so ``symbolic_power`` builds them
+straight from the cover masks and skips the divisibility scan.  Copy x.p+1
+of a vertex has no neighbor that copy x.p lacks, N(x.p+1) ⊆ N(x.p), so a
+maximal independent set that holds x.p holds x.p+1 too: every minimal cover
+meets each vertex's block of shadows in a lower segment x.1 ... x.e, which
+is x^e polarized.  Distinct minimal covers are incomparable, and on lower
+segments containment is divisibility, so no generator divides another.  The
+``MonomialIdeal`` constructor still minimalizes what it is given, because
+parsed text, ``polarize`` and ``depolarize`` may hand it multiples; both
+routes hold their generators in one slot layout and one canonical order.
+
 Monomials are exponent maps over named variables; ideals always store their
 unique minimal generating set, canonically sorted by (degree, then
 lexicographic preference for earlier ambient variables).  The zero-generator
@@ -140,8 +151,19 @@ def parse_monomial(text: str) -> Monomial:
 # ---------------------------------------------------------------------------
 # ideals
 
-def _slot_masks(variables: Sequence[str], gens: Iterable[Monomial]) -> dict[Monomial, int]:
-    """The slot mask of every generator over one layout (see the module docstring)."""
+def _slot_offsets(depths: Sequence[int]) -> list[int]:
+    """The lowest slot bit of each variable, given each one's number of slots:
+    earlier variables own higher bits (see the module docstring)."""
+    offsets = [0] * len(depths)
+    shift = 0
+    for i in reversed(range(len(depths))):
+        offsets[i] = shift
+        shift += depths[i]
+    return offsets
+
+
+def _slot_masks(variables: Sequence[str], gens: Iterable[Monomial]) -> list[tuple[Monomial, int]]:
+    """Every generator with its slot mask over one layout (see the module docstring)."""
     rank = {v: i for i, v in enumerate(variables)}
     depth = [0] * len(rank)
     for g in gens:
@@ -150,24 +172,20 @@ def _slot_masks(variables: Sequence[str], gens: Iterable[Monomial]) -> dict[Mono
             if i is None:
                 raise IdealError(f"generator uses {v!r} outside the ambient variables")
             depth[i] = max(depth[i], e)
-    offset = [0] * len(rank)
-    shift = 0
-    for i in reversed(range(len(rank))):
-        offset[i] = shift
-        shift += depth[i]
-    return {g: sum(((1 << e) - 1) << offset[rank[v]] for v, e in g.exps) for g in gens}
+    offset = _slot_offsets(depth)
+    return [(g, sum(((1 << e) - 1) << offset[rank[v]] for v, e in g.exps)) for g in gens]
 
 
-def _minimalize(masks: Mapping[Monomial, int]) -> dict[Monomial, int]:
-    """The generators no other one divides, in canonical order.
+def _minimalize(masks: Iterable[tuple[Monomial, int]]) -> list[tuple[Monomial, int]]:
+    """The generators no other one divides.
 
-    A divisor has a smaller degree, so scanning in canonical order (degree,
-    then larger mask first) meets it before its multiples.
+    A divisor has a smaller degree, so scanning by degree meets it before
+    its multiples.
     """
-    kept: dict[Monomial, int] = {}
-    for g, mask in sorted(masks.items(), key=lambda item: (item[1].bit_count(), -item[1])):
-        if all(k & ~mask for k in kept.values()):  # no kept generator divides g
-            kept[g] = mask
+    kept: list[tuple[Monomial, int]] = []
+    for g, mask in sorted(masks, key=lambda item: item[1].bit_count()):
+        if all(k & ~mask for _, k in kept):  # no kept generator divides g
+            kept.append((g, mask))
     return kept
 
 
@@ -177,14 +195,20 @@ class MonomialIdeal:
     __slots__ = ("_variables", "_generators", "_masks", "_whole")
 
     def __init__(self, variables: Sequence[str], generators: Iterable[Monomial] = ()):
-        self._variables = tuple(variables)
-        if len(set(self._variables)) != len(self._variables):
+        variables = tuple(variables)
+        if len(set(variables)) != len(variables):
             raise IdealError("ambient variables must be distinct")
-        masks = _minimalize(_slot_masks(self._variables, set(generators)))
-        if 0 in masks.values():
+        masks = _minimalize(_slot_masks(variables, set(generators)))
+        if any(mask == 0 for _, mask in masks):
             raise IdealError("a unit generator is not allowed; use the whole-ring marker")
-        self._masks = masks
-        self._generators = tuple(masks)
+        self._install(variables, masks)
+
+    def _install(self, variables: tuple[str, ...], masks: Iterable[tuple[Monomial, int]]) -> None:
+        """Hold minimal generators, given with their slot masks over one layout,
+        in the canonical order: degree, then larger mask first."""
+        self._variables = variables
+        self._masks = dict(sorted(masks, key=lambda item: (item[1].bit_count(), -item[1])))
+        self._generators = tuple(self._masks)
         self._whole = False
 
     @classmethod
@@ -242,6 +266,16 @@ def symbolic_power(graph: Graph, k: int) -> MonomialIdeal:
     maximal independent set I of G_k gives one generator: the complement
     of I is a minimal vertex cover of G_k, and x_i enters with the number
     of its shadows in that cover as exponent.
+
+    Each generator is read straight off the cover mask, with no
+    minimalization (see the module docstring): since N(x.p+1) ⊆ N(x.p), a
+    minimal cover meets each block of shadows in its lowest e bits, so that
+    part of the cover, shifted, is the slot block of x^e, and the minimal
+    covers, pairwise incomparable, give pairwise non-dividing monomials.
+    Every vertex on an edge has a cover holding its whole block (the
+    complement of a maximal independent set through a neighbor's first
+    copy), so the layout of k slots per such vertex is the one
+    ``MonomialIdeal`` would build from these generators.
     """
     if k < 1:
         raise IdealError(f"symbolic power exponent must be >= 1, got {k}")
@@ -251,11 +285,26 @@ def symbolic_power(graph: Graph, k: int) -> MonomialIdeal:
     t = (k,) * graph.edge_count
     rows = duplicated_edge_rows(len(names), graph.edge_indices, t)
     blocks = shadow_blocks(len(names), graph.edge_indices, t)
-    gens = [
-        Monomial.of({v: (block & ~mis).bit_count() for v, block in zip(names, blocks)})
-        for mis in _bitgraph.maximal_independent_sets(rows, (1 << len(rows)) - 1)
-    ]
-    return MonomialIdeal(names, gens)
+    offsets = _slot_offsets([block.bit_count() for block in blocks])
+    # vertices on an edge in name order, as Monomial pairs are sorted, with
+    # the shifts that move a block's cover bits onto its slots
+    by_name = sorted((name, block, block.bit_length() - block.bit_count(), offset)
+                     for name, block, offset in zip(names, blocks, offsets) if block)
+    full = (1 << len(rows)) - 1
+    masks = []
+    for independent in _bitgraph.maximal_independent_sets(rows, full):
+        cover = full ^ independent
+        exps = []
+        slots = 0
+        for name, block, first, offset in by_name:
+            part = block & cover
+            if part:
+                exps.append((name, part.bit_count()))
+                slots |= part >> first << offset
+        masks.append((Monomial(tuple(exps)), slots))
+    ideal = MonomialIdeal.__new__(MonomialIdeal)
+    ideal._install(names, masks)
+    return ideal
 
 
 # ---------------------------------------------------------------------------

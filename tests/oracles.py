@@ -155,7 +155,12 @@ def brute_minimum_cycle_cover(graph: Graph) -> set[str]:
 
 
 def brute_symbolic_generators(graph: Graph, k: int, bound: int) -> set[Monomial]:
-    """Divisibility-minimal vectors with a_u + a_v >= k per edge, entries <= bound."""
+    """Divisibility-minimal vectors with a_u + a_v >= k per edge, entries <= bound.
+
+    Raising an entry keeps every edge condition, so the feasible vectors are
+    closed upward inside the box, and a feasible vector is minimal iff
+    lowering any one positive entry by 1 breaks a condition.
+    """
     names = graph.vertex_names
     feasible = []
 
@@ -173,9 +178,11 @@ def brute_symbolic_generators(graph: Graph, k: int, bound: int) -> set[Monomial]
         v for v in feasible
         if all(v[names.index(a)] + v[names.index(b)] >= k for a, b in graph.edges)
     ]
+    feasible_set = set(ok)
     minimal = [
         v for v in ok
-        if not any(w != v and all(wi <= vi for wi, vi in zip(w, v)) for w in ok)
+        if not any(v[i] and v[:i] + (v[i] - 1,) + v[i + 1:] in feasible_set
+                   for i in range(len(v)))
     ]
     return {Monomial.of({names[i]: e for i, e in enumerate(v) if e}) for v in minimal}
 

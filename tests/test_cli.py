@@ -357,21 +357,36 @@ GLUE = ("--graph", str(FIXTURES / "glue_g.graph"), "--graph2", str(FIXTURES / "g
         "--edge", "x1,x2")
 
 
-@pytest.mark.parametrize("argv", [
-    ("symbolic-power", "{c4}", "--k", HUGE),
-    ("verify", "main", "--graph", "{c4}", "--S", "x1", "--k", "5000000000"),
-    ("verify", "edge", "--graph", "{c4}", "--S", "x1", "--tuple", f"1,1,1,1,{HUGE}"),
-    ("verify", "glue", *GLUE, "--tuple", "1,1,1,1,1,1", "--tuple2", "1,1,1,10001"),
-    ("verify", "main", "--graph", "{c4}", "--S", "x1", "--counts", f"x1={HUGE}", "--k", "1"),
-    ("verify", "star", "--graph", "{c4}", "--S", "x1", "--spec", f"x1:3,{HUGE}", "--k", "1"),
+@pytest.mark.parametrize("argv, bound", [
+    (("symbolic-power", "{c4}", "--k", HUGE), "10000"),
+    (("verify", "main", "--graph", "{c4}", "--S", "x1", "--k", "5000000000"), "10000"),
+    (("verify", "edge", "--graph", "{c4}", "--S", "x1", "--tuple", f"1,1,1,1,{HUGE}"), "10000"),
+    (("verify", "glue", *GLUE, "--tuple", "1,1,1,1,1,1", "--tuple2", "1,1,1,10001"), "10000"),
+    (("verify", "main", "--graph", "{c4}", "--S", "x1", "--counts", f"x1={HUGE}", "--k", "1"),
+     "10000"),
+    (("verify", "star", "--graph", "{c4}", "--S", "x1", "--spec", f"x1:3,{HUGE}", "--k", "1"),
+     "500"),
 ], ids=["k", "verify-k", "tuple", "tuple2", "counts", "spec"])
-def test_multiplicity_flags_are_bounded(capsys, c4_path, argv):
-    # one bound for every multiplicity read from the command line, the
-    # exponent bound of the ideal reader: J(G)^(k) has generators with
-    # exponent k, so a larger one would print an ideal that does not load
+def test_multiplicity_flags_are_bounded(capsys, c4_path, argv, bound):
+    # every multiplicity read from the command line has the exponent bound
+    # of the ideal reader: J(G)^(k) has generators with exponent k, so a
+    # larger one would print an ideal that does not load.  A --spec clique
+    # size has the smaller clique bound.
     code, out, err = run(capsys, *(arg.format(c4=c4_path) for arg in argv))
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1 and "10000" in err, err
+    assert err.startswith("error: ") and err.count("\n") == 1 and bound in err, err
+
+
+def test_spec_clique_size_has_its_own_bound(capsys, c4_path):
+    # a clique of s vertices has s(s - 1)/2 edges, so its size is bounded far
+    # below the multiplicity bound: x1:3000 used to run out of memory
+    argv = ("verify", "star", "--graph", c4_path, "--S", "x1", "--k", "1", "--spec")
+    for spec, size in (("x1:501", 501), ("x1:3,3000", 3000)):
+        code, out, err = run(capsys, *argv, spec)
+        assert (code, out) == (2, ""), spec
+        assert err == f"error: --spec value {size} is above 500\n"
+    code, out, err = run(capsys, *argv, "x1:500")
+    assert code == 0, err
 
 
 def test_verify_k_must_fill_a_tuple(capsys, c4_path):

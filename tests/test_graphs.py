@@ -21,6 +21,7 @@ from symcover.graphs import (
     render_graph_text,
 )
 
+from symcover import _bitgraph
 from symcover._bitgraph import components
 
 from conftest import c4, fish, five_vertex_example, p3, random_graph, single_edge, whiskered_fish
@@ -177,6 +178,15 @@ def test_independence_and_covers_match_brute_force():
         assert {frozenset(everything - f) for f in g.maximal_independent_sets()} == set(
             g.minimal_vertex_covers()
         )
+
+
+def test_bitmask_maximal_independent_sets_match_brute_force(small_graph_atlas):
+    # each maximal independent set exactly once, on every graph up to 7 vertices
+    for g in small_graph_atlas:
+        found = [frozenset(g.names_of(mask)) for mask in
+                 _bitgraph.maximal_independent_sets(g.adjacency_masks(), g.full_mask())]
+        assert len(found) == len(set(found)), g.edges
+        assert set(found) == brute_maximal_independent_sets(g), g.edges
 
 
 def test_simplicial_vertex_examples():

@@ -187,6 +187,31 @@ def test_symbolic_power_entry_bound_lemma():
             assert ours == brute
 
 
+def test_symbolic_power_matches_the_minimalizing_constructor(small_graph_atlas):
+    # symbolic_power reads each generator straight off a maximal independent
+    # set of G_k and skips the divisibility scan; the constructor, given the
+    # brute-force generators, minimalizes and sorts them itself.  Both must
+    # hold the same generators in the same order with the same slot masks.
+    # The extra graphs list their vertices out of name order, so exponent
+    # pairs must be put in name order, and have isolated vertices at either
+    # end and in between, which get no slots
+    graphs = [g for g in small_graph_atlas if g.vertex_count <= 6] + [
+        build_graph(["z", "b", "q", "a", "c"], [("z", "a"), ("a", "c"), ("b", "c"), ("z", "b")]),
+        build_graph(["i0", "x2", "x1", "i9"], [("x2", "x1")]),
+        build_graph(["p", "i1", "q", "i2", "r", "i3"], [("r", "p"), ("q", "r")]),
+        build_graph(["a", "a.1", "b.2", "c"], [("a", "a.1"), ("a.1", "b.2")]),
+    ]
+    for g in graphs:
+        for k in (1, 2, 3):
+            fast = symbolic_power(g, k)
+            if g.edge_count == 0:
+                assert fast.is_whole_ring
+                continue
+            generic = MonomialIdeal(g.vertex_names, brute_symbolic_generators(g, k, bound=k))
+            assert list(fast._masks.items()) == list(generic._masks.items()), (g.edges, k)
+            assert (fast.variables, fast.generators) == (generic.variables, generic.generators)
+
+
 def test_symbolic_power_matches_intersection_oracle():
     rng = random.Random(41)
     for _ in range(12):
