@@ -19,7 +19,6 @@ from .graphs import (
 from .duplication import (
     duplicate_edges,
     duplicate_vertices,
-    expand_edge,
     parse_tuple,
     render_tuple,
     satisfies_whisker_dominance,

@@ -42,8 +42,8 @@ PASS, FAIL, USAGE = 0, 1, 2
 
 # the largest --spec clique size: a clique of s vertices has s(s - 1)/2
 # edges before duplication, so time and memory grow with s^2 and more.
-# verify star on c4.graph with one clique of 500 takes 0.4 s at --k 1 and
-# 1.0 s at --k 2 (1,000: 1.5 s and 4.0 s), on a 2-vCPU host
+# verify star on c4.graph with one clique of 500 takes 0.3 s at --k 1 and
+# 0.6 s at --k 2 (1,000: 1.4 s and 2.7 s), on a 2-vCPU host
 MAX_CLIQUE_SIZE = 500
 
 

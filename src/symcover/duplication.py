@@ -16,8 +16,9 @@ comma-separated text of the CLI and the reports.
 Below the named graphs, a duplication is the adjacency rows that
 ``duplicated_edge_rows`` builds from edge index pairs, and this module is the
 one place that knows where the shadows sit: ``shadow_blocks`` gives each base
-vertex's block of consecutive rows as a mask, copies ascending.  Whisker
-dominance is a list of edge position pairs (``dominance_rules``).
+vertex's block of consecutive rows as a mask, copies ascending, and the named
+duplications take their shadows' names from such blocks.  Whisker dominance
+is a list of edge position pairs (``dominance_rules``).
 """
 
 from __future__ import annotations
@@ -63,12 +64,6 @@ def copy_pairs(r: int) -> tuple[tuple[int, int], ...]:
     return tuple((p, q) for p in range(1, r + 1) for q in range(1, r + 2 - p))
 
 
-def expand_edge(edge: tuple[str, str], r: int) -> tuple[tuple[str, str], ...]:
-    """Shadow edges {x.p, y.q}, p + q <= r + 1, of one edge at multiplicity ``r``."""
-    u, v = edge
-    return tuple((f"{u}.{p}", f"{v}.{q}") for p, q in copy_pairs(r))
-
-
 def duplicate_edges(graph: Graph, t: Sequence[int]) -> Graph:
     """Duplicate every edge by its own multiplicity.
 
@@ -77,14 +72,7 @@ def duplicate_edges(graph: Graph, t: Sequence[int]) -> Graph:
     Edge order: edges in graph order, each expansion in (p, q) order.
     """
     _check_tuple_length(graph, t)
-    blocks = shadow_blocks(graph.vertex_count, graph.edge_indices, t)
-    verts = [
-        f"{name}.{p}"
-        for name, block in zip(graph.vertex_names, blocks)
-        for p in range(1, block.bit_count() + 1)
-    ]
-    edges = [shadow for edge, r in zip(graph.edges, t) for shadow in expand_edge(edge, r)]
-    return Graph(verts, edges)
+    return _named_duplication(graph, shadow_blocks(graph.vertex_count, graph.edge_indices, t), t)
 
 
 def shadow_blocks(
@@ -133,9 +121,18 @@ def duplicate_vertices(graph: Graph, k: int) -> Graph:
     """
     if k < 1:
         raise GraphError(f"vertex duplication multiplicity must be >= 1, got {k}")
-    verts = [f"{name}.{p}" for name in graph.vertex_names for p in range(1, k + 1)]
-    edges = [shadow for edge in graph.edges for shadow in expand_edge(edge, k)]
-    return Graph(verts, edges)
+    blocks = [((1 << k) - 1) << (k * i) for i in range(graph.vertex_count)]
+    return _named_duplication(graph, blocks, (k,) * graph.edge_count)
+
+
+def _named_duplication(graph: Graph, blocks: Sequence[int], t: Sequence[int]) -> Graph:
+    """The duplication of ``graph`` by t, its shadows x.1, x.2, ... in the rows ``blocks[x]``."""
+    names = [f"{name}.{p}" for name, block in zip(graph.vertex_names, blocks)
+             for p in range(1, block.bit_count() + 1)]
+    first = [b.bit_length() - b.bit_count() for b in blocks]
+    edges = [(names[first[i] + p - 1], names[first[j] + q - 1])
+             for (i, j), r in zip(graph.edge_indices, t) for p, q in copy_pairs(r)]
+    return Graph(names, edges)
 
 
 def split_shadow(name: str) -> tuple[str, int] | None:

@@ -11,8 +11,8 @@ Reports render deterministically: identical inputs give byte-identical
 output.  The CLI prints a search's reports in enumeration order, as they
 are yielded.
 
-The counterexample search runs on adjacency rows and vertex masks; named
-graphs appear only in its reports.  Mode i rests on an induced-subgraph
+The verifiers but glue, and the search, decide on adjacency rows and vertex
+masks, with no named duplication.  Mode i rests on an induced-subgraph
 identity: whiskering G at S and duplicating k times gives the subgraph of
 W_k induced on the shadows of G and of the leaves at S, where W is G
 whiskered at every vertex, its leaf of vertex i being vertex n + i.  W_k is
@@ -40,7 +40,6 @@ from .duplication import (
     dominance_rules,
     dominates,
     duplicate_edges,
-    duplicate_vertices,
     duplicated_edge_rows,
     render_tuple,
     satisfies_whisker_dominance,
@@ -188,6 +187,12 @@ def _whiskering_report(
     return report, is_cover
 
 
+def _duplication_is_vd(graph: Graph, t: Sequence[int]) -> bool:
+    """Whether graph's duplication by t is vertex decomposable; isolated shadows never change it."""
+    rows = duplicated_edge_rows(graph.vertex_count, graph.edge_indices, t)
+    return DecompositionEngine(rows).is_vd()
+
+
 def _no_zero_multiplicity(report: ScenarioReport, *tuples: Sequence[int]) -> bool:
     """Flag a zero entry, which deletes its edge: no theorem here allows one."""
     if any(0 in t for t in tuples):
@@ -218,7 +223,7 @@ def verify_main_theorem(
     )
     h = whiskered.graph
     for k in range(1, k_max + 1):
-        verdict = vertex_decomposable(duplicate_vertices(h, k))
+        verdict = _duplication_is_vd(h, (k,) * h.edge_count)
         report.check(f"vertex-decomposable k={k}", _yesno(verdict), asserting)
         if k <= _LQ_K_MAX:
             ideal = symbolic_power(h, k)
@@ -258,7 +263,7 @@ def verify_edge_theorem(
     if not dominant:
         report.flag("hypothesis violated: tuple is not whisker-dominant; exploring anyway")
 
-    verdict = vertex_decomposable(duplicate_edges(whiskered.graph, t))
+    verdict = _duplication_is_vd(whiskered.graph, t)
     report.check("vertex-decomposable", _yesno(verdict), asserting)
     return report
 
@@ -303,7 +308,7 @@ def verify_glue_star(
             asserting = False
 
     for k in range(1, k_max + 1):
-        verdict = vertex_decomposable(duplicate_vertices(current, k))
+        verdict = _duplication_is_vd(current, (k,) * current.edge_count)
         report.check(f"vertex-decomposable k={k}", _yesno(verdict), asserting)
     return report
 
@@ -542,8 +547,7 @@ def _search_tuple_violations(max_vertices: int, max_k: int) -> Iterator[Scenario
                 continue
             verdict = shared.pop(entries, None)
             if verdict is None:  # the first tuple of its Aut(h) orbit
-                rows = duplicated_edge_rows(h.vertex_count, h.edge_indices, entries)
-                verdict = DecompositionEngine(rows).is_vd()
+                verdict = _duplication_is_vd(h, entries)
                 for order in orders:
                     image = tuple(map(entries.__getitem__, order))
                     if image > entries and not dominates(dominance, image):

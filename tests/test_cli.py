@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -407,17 +408,32 @@ def test_verify_k_must_fill_a_tuple(capsys, c4_path):
         assert run(capsys, *argv) == run(capsys, *argv, "--k", "2")
 
 
-def test_python_dash_m_runs_the_cli(tmp_path):
+def run_child(*argv, **kwargs):
+    """``python -m symcover`` on ``argv`` in a child process, on this checkout's sources."""
     src = str(Path(symcover.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    ok = subprocess.run([sys.executable, "-m", "symcover", "check-vd", str(FIXTURES / "p3.graph")],
-                        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", "symcover", *argv],
+                          capture_output=True, text=True, env=env, **kwargs)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    ok = run_child("check-vd", str(FIXTURES / "p3.graph"))
     assert (ok.returncode, ok.stdout) == (0, "vertex decomposable: yes\n")
-    bad = subprocess.run([sys.executable, "-m", "symcover", "check-vd",
-                          str(tmp_path / "missing.graph")],
-                         capture_output=True, text=True, env=env)
+    bad = run_child("check-vd", str(tmp_path / "missing.graph"))
     assert bad.returncode == 2 and bad.stderr.startswith("error: ")
+
+
+def test_verify_star_runs_in_small_memory():
+    # G_4 of C4 with a 500-clique at x1 has 2,012 shadows and 1.25 million
+    # shadow edges; decided on rows it fits in 200 MB of address space, which
+    # a named graph with a string per shadow and a tuple per edge does not
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
+
+    done = run_child("verify", "star", "--graph", str(FIXTURES / "c4.graph"), "--S", "x1",
+                     "--spec", "x1:500", "--k", "4", preexec_fn=limit_memory)
+    assert done.returncode == 0, done.stderr[-300:]
 
 
 def test_search_cli_sorted_output(capsys):
@@ -526,3 +542,18 @@ def test_outputs_no_fixture_reaches_are_pinned(capsys, tmp_path):
     edgeless = tmp_path / "edgeless.graph"
     edgeless.write_text("vertices: a b\n")
     assert_output_pinned(capsys, ["cover-ideal", str(edgeless)], ("3b304100cdfb", "a9155f7d54f6"))
+    # the verifiers decide on rows, which give an isolated vertex no shadows
+    triangle = tmp_path / "triangle_and_isolated.graph"
+    triangle.write_text("vertices: a b c d\nedge: a b\nedge: b c\nedge: a c\n")
+    for graph, argv, digests in (
+        (triangle, ["main", "--S", "a", "--k", "2"], ("6517317d2f47", "54b127078fc4")),
+        (triangle, ["edge", "--S", "a", "--k", "2"], ("2d729f050ec5", "64823c5421af")),
+        (triangle, ["edge", "--S", "a", "--tuple", "1,2,1,2"], ("54e3aa364b3a", "c33970052dcf")),
+        (triangle, ["star", "--S", "a", "--spec", "a:3,2", "--k", "2"],
+         ("f8137ec5a828", "b87e5a128ed0")),
+        (edgeless, ["main", "--k", "2"], ("e528190c013d", "d70178c7e8be")),
+        (edgeless, ["edge", "--k", "2"], ("38a0683969a7", "b309e2bb355c")),
+        (edgeless, ["star", "--S", "a", "--spec", "a:2", "--k", "2"],
+         ("783c2db74c8e", "8ca33e0726ac")),
+    ):
+        assert_output_pinned(capsys, ["verify", argv[0], "--graph", str(graph), *argv[1:]], digests)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import product
 
@@ -10,14 +11,13 @@ from symcover.duplication import (
     duplicate_edges,
     duplicate_vertices,
     duplicated_edge_rows,
-    expand_edge,
     parse_tuple,
     render_tuple,
     satisfies_whisker_dominance,
     shadows_of,
 )
-from symcover.enumeration import automorphisms
-from symcover.graphs import GraphError, add_whiskers, build_graph
+from symcover.enumeration import as_graph, automorphisms, graphs_up_to_isomorphism
+from symcover.graphs import GraphError, add_whiskers, build_graph, render_graph_text
 from symcover.ideals import cover_ideal
 from symcover.scenarios import _tuple_image_orders
 
@@ -29,7 +29,12 @@ def pairs(edges):
     return {frozenset(e) for e in edges}
 
 
-# -- expand_edge ---------------------------------------------------------------
+def expand_edge(edge, r):
+    # the shadow edges of one edge duplicated r times
+    return duplicate_edges(build_graph(edge, [edge]), (r,)).edges
+
+
+# -- one edge duplicated ---------------------------------------------------------
 
 def test_expand_edge_multiplicity_one_is_the_edge():
     assert expand_edge(("x1", "x2"), 1) == (("x1.1", "x2.1"),)
@@ -58,6 +63,15 @@ def test_expand_edge_zero_is_empty():
 
 # -- duplicate_edges -------------------------------------------------------------
 
+# the shadow edges {x.p, y.q}, p + q <= r + 1, of one edge, in (p, q) order
+SINGLE_EDGE_SHADOWS = {
+    0: [],
+    1: [(1, 1)],
+    2: [(1, 1), (1, 2), (2, 1)],
+    3: [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)],
+}
+
+
 @pytest.mark.parametrize("r", [0, 1, 2, 3])
 def test_duplicate_single_edge_shadows(r):
     g = duplicate_edges(single_edge(), (r,))
@@ -65,8 +79,30 @@ def test_duplicate_single_edge_shadows(r):
     assert g.vertex_names == tuple(f"{base}.{p}" for base, p in expected)
     for base in ("x", "y"):
         assert shadows_of(g, base) == tuple(f"{base}.{p}" for p in range(1, r + 1))
-    assert g.edges == expand_edge(("x", "y"), r)
+    assert g.edges == tuple((f"x.{p}", f"y.{q}") for p, q in SINGLE_EDGE_SHADOWS[r])
     assert g.edge_count == r * (r + 1) // 2
+
+
+def test_named_duplication_layout_is_pinned():
+    # vertex and edge order, shadow names and edge orientation of both named
+    # duplications, on every graph up to 5 vertices (isolated vertices
+    # included) and on random graphs whose names are dotted, out of sorted
+    # order, and whose edges come in random order and orientation
+    rng = random.Random(43)
+    graphs = [as_graph(n, e) for n in range(1, 6) for e in graphs_up_to_isomorphism(n)]
+    for _ in range(20):
+        names = rng.sample(["a", "b.1", "c", "x10", "x2", "y.2.3", "z"], rng.randint(1, 7))
+        edges = [(u, v) if rng.random() < 0.5 else (v, u)
+                 for i, u in enumerate(names) for v in names[i + 1:] if rng.random() < 0.5]
+        rng.shuffle(edges)
+        graphs.append(build_graph(names, edges))
+    digest = hashlib.sha256()
+    for g in graphs:
+        dups = [duplicate_vertices(g, k) for k in range(1, 5)]
+        dups += [duplicate_edges(g, [rng.randint(0, 3) for _ in g.edges]) for _ in range(2)]
+        for dup in dups:
+            digest.update(render_graph_text(dup).encode())
+    assert len(graphs) == 72 and digest.hexdigest()[:12] == "96edaf8bff14"
 
 
 def test_duplicate_edges_figure_counts():

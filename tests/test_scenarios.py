@@ -349,24 +349,20 @@ def test_search_mode_ii_verdicts_match_cold_engines(max_vertices, max_k, reports
     assert checked == reports
 
 
-def test_verify_main_builds_each_duplication_once(monkeypatch):
-    # the decomposability check builds one named G_k per k, and the symbolic
-    # power reads G_k's rows without building a named graph
+@pytest.mark.parametrize("kind", ["main", "edge", "star"])
+def test_verifiers_build_no_named_duplication(monkeypatch, kind):
+    # a verifier builds only the whiskered graph, or one graph per star
+    # attachment, and decides each duplication on its rows; the symbolic
+    # power reads G_k's rows without building a named graph either
     import symcover.graphs
-    import symcover.scenarios
 
-    built = []
-
-    def counting(graph, k):
-        built.append(k)
-        return duplicate_vertices(graph, k)
-
-    monkeypatch.setattr(symcover.scenarios, "duplicate_vertices", counting)
-    report = verify_main_theorem(five_vertex_example(), ["x2"], 1, k_max=2)
-    assert report.overall_pass
-    assert built == [1, 2]
-
-    graph = five_vertex_example()
+    graph = c4()
+    specs = [StarCompleteSpec("x1", (3, 2)), StarCompleteSpec("x3", (3,))]
+    verify = {
+        "main": lambda: verify_main_theorem(graph, ["x1", "x3"], 1, k_max=3),
+        "edge": lambda: verify_edge_theorem(graph, ["x1"], 1, (2, 2, 2, 2, 2)),
+        "star": lambda: verify_glue_star(graph, ["x1", "x3"], specs, k_max=3),
+    }[kind]
     constructed = []
     init = symcover.graphs.Graph.__init__
 
@@ -375,6 +371,9 @@ def test_verify_main_builds_each_duplication_once(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(symcover.graphs.Graph, "__init__", counting_init)
+    assert verify().overall_pass
+    assert len(constructed) == (len(specs) if kind == "star" else 1)
+    constructed.clear()
     symbolic_power(graph, 2)
     assert constructed == []
 
