@@ -283,8 +283,8 @@ def is_vertex_decomposable(graph: Graph) -> DecompositionCertificate | None:
 
     The walk reads the memoized shedder of each component it reaches, from
     the components of the graph through those of each deletion and link.
-    The clique rule skips deletions, so the walk asks the engine for each
-    component first, which decides a skipped one on demand.
+    The clique rule skips deletions, so a component missing from the memo
+    is decided on demand; the engine is asked only then.
     """
     engine = DecompositionEngine(graph.adjacency_masks())
     if not engine.is_vd():
@@ -294,8 +294,11 @@ def is_vertex_decomposable(graph: Graph) -> DecompositionCertificate | None:
     while stack:
         comp = stack.pop()
         if comp not in reached:
-            engine.is_vd_mask(comp)
-            v = reached[comp] = engine._shedder[comp]
+            v = engine._shedder.get(comp)
+            if v is None:
+                engine.is_vd_mask(comp)
+                v = engine._shedder[comp]
+            reached[comp] = v
             stack += _branches(engine, comp, v)
     return DecompositionCertificate(tuple((graph.names_of(comp), graph.vertex_names[v])
                                           for comp, v in sorted(reached.items(), reverse=True)))

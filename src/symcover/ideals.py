@@ -16,10 +16,15 @@ of a vertex has no neighbor that copy x.p lacks, N(x.p+1) ⊆ N(x.p), so a
 maximal independent set that holds x.p holds x.p+1 too: every minimal cover
 meets each vertex's block of shadows in a lower segment x.1 ... x.e, which
 is x^e polarized.  Distinct minimal covers are incomparable, and on lower
-segments containment is divisibility, so no generator divides another.  The
-``MonomialIdeal`` constructor still minimalizes what it is given, because
-parsed text, ``polarize`` and ``depolarize`` may hand it multiples; both
-routes hold their generators in one slot layout and one canonical order.
+segments containment is divisibility, so no generator divides another.
+``polarize`` skips the scan too: x^a divides x^b exactly when the slots
+x.1 ... x.a lie among x.1 ... x.b, so minimal generators polarize to minimal
+ones, and it reads each generator's slots off names built once per
+variable.  The ``MonomialIdeal`` constructor still minimalizes what it is
+given, because parsed text and ``depolarize`` may hand it multiples:
+``depolarize`` splits each variable name once, but merging the slots of an
+arbitrary ideal can make one generator divide or equal another.  All routes
+hold their generators in one slot layout and one canonical order.
 
 Monomials are exponent maps over named variables; ideals always store their
 unique minimal generating set, canonically sorted by (degree, then
@@ -316,40 +321,63 @@ def polarize(ideal: MonomialIdeal) -> MonomialIdeal:
     The ambient ring takes slots 1..(max exponent of x over the generators)
     for each base variable, ordered by (base position, slot).  Squarefree
     ideals are fixed up to the renaming x -> x.1.
+
+    Each variable's slot names are built once, and each slot owns one bit,
+    earlier slots higher, as ``_slot_offsets([1] * n)`` lays them out; a
+    generator is the sorted names of its slots, and its mask the OR of
+    their bits.  x^a divides x^b exactly when slots(a) ⊆ slots(b), so the
+    minimal, distinct generators of ``ideal`` polarize to minimal, distinct
+    generators and are installed with no minimalization.  The slot names
+    are distinct, because ``split_shadow`` reads ``f"{v}.{j}"`` back as
+    (v, j), and every slot lies in some generator, so the layout is the one
+    the ``MonomialIdeal`` constructor would build.
     """
     if ideal.is_whole_ring:
         return ideal
-    depth = {v: 0 for v in ideal.variables}
+    depth = dict.fromkeys(ideal.variables, 0)
     for g in ideal.generators:
         for v, e in g.exps:
-            depth[v] = max(depth[v], e)
-    variables = [f"{v}.{j}" for v in ideal.variables for j in range(1, depth[v] + 1)]
-    gens = [
-        Monomial.of({f"{v}.{j}": 1 for v, e in g.exps for j in range(1, e + 1)})
-        for g in ideal.generators
-    ]
-    return MonomialIdeal(variables, gens)
+            if e > depth[v]:
+                depth[v] = e
+    variables: list[str] = []
+    # per variable: its slots x.1 ... x.d as Monomial pairs, and the bit just above x.1
+    layout: dict[str, tuple[list[tuple[str, int]], int]] = {}
+    top = sum(depth.values())
+    for v, d in depth.items():
+        slots = [(f"{v}.{j}", 1) for j in range(1, d + 1)]
+        variables += (name for name, _ in slots)
+        layout[v] = (slots, top)
+        top -= d
+    masks = []
+    for g in ideal.generators:
+        pairs: list[tuple[str, int]] = []
+        mask = 0
+        for v, e in g.exps:
+            slots, above = layout[v]
+            pairs += slots[:e]
+            mask |= ((1 << e) - 1) << (above - e)
+        masks.append((Monomial(tuple(sorted(pairs))), mask))
+    polarized = MonomialIdeal.__new__(MonomialIdeal)
+    polarized._install(tuple(variables), masks)
+    return polarized
 
 
 def depolarize(ideal: MonomialIdeal) -> MonomialIdeal:
-    """Undo one polarization layer: merge each slot x.j (see ``split_shadow``) into x."""
+    """Undo one polarization layer: merge each slot x.j (see ``split_shadow``) into x.
+
+    Each ambient variable is split once, and every generator is merged
+    through that map.  The input may be any ideal, whose merged generators
+    can divide or equal one another, so the result goes through the
+    minimalizing constructor.
+    """
     if ideal.is_whole_ring:
         return ideal
-
-    def base_of(slot: str) -> str:
-        shadow = split_shadow(slot)
-        return shadow[0] if shadow else slot
-
-    bases: list[str] = []
+    base: dict[str, str] = {}
     for v in ideal.variables:
-        b = base_of(v)
-        if b not in bases:
-            bases.append(b)
-    gens = [
-        Monomial.of([(base_of(v), e) for v, e in g.exps])
-        for g in ideal.generators
-    ]
-    return MonomialIdeal(bases, gens)
+        shadow = split_shadow(v)
+        base[v] = shadow[0] if shadow else v
+    gens = [Monomial.of([(base[v], e) for v, e in g.exps]) for g in ideal.generators]
+    return MonomialIdeal(dict.fromkeys(base.values()), gens)
 
 
 # ---------------------------------------------------------------------------

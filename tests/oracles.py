@@ -373,6 +373,20 @@ def intersect(left: MonomialIdeal, right: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal(left.variables, gens)
 
 
+def brute_polarize(ideal: MonomialIdeal) -> MonomialIdeal:
+    """Polarization slot by slot: every power x^a becomes the string slots
+    x.1 ... x.a, merged through ``Monomial.of``, and the generators go
+    through the minimalizing constructor, which lays out their masks."""
+    if ideal.is_whole_ring:
+        return ideal
+    depth = {v: max((exponent(g, v) for g in ideal.generators), default=0)
+             for v in ideal.variables}
+    variables = [f"{v}.{j}" for v in ideal.variables for j in range(1, depth[v] + 1)]
+    gens = [Monomial.of({f"{v}.{j}": 1 for v, e in g.exps for j in range(1, e + 1)})
+            for g in ideal.generators]
+    return MonomialIdeal(variables, gens)
+
+
 @dataclass(frozen=True)
 class EdgePrime:
     """The height-two prime (u, v) attached to an edge."""

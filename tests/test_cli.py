@@ -101,6 +101,37 @@ def test_polarize_round_trip(capsys, tmp_path, c4_path):
     assert "x1.1*x1.2*x3.1*x3.2" in out
 
 
+# stdout of ``symcover polarize``, text and json, pinned as the slot-by-slot
+# polarization wrote it
+POLARIZE_OUTPUTS = [
+    ("x^3*y\nx*y^2\n",
+     "variables: x.1 x.2 x.3 y.1 y.2\nx.1*y.1*y.2\nx.1*x.2*x.3*y.1\n",
+     {"generators": ["x.1*y.1*y.2", "x.1*x.2*x.3*y.1"],
+      "variables": ["x.1", "x.2", "x.3", "y.1", "y.2"], "whole_ring": False}),
+    # a variable that already reads as a slot gets slots of its own
+    ("variables: a a.1\na^2*a.1\n",
+     "variables: a.1 a.2 a.1.1\na.1*a.2*a.1.1\n",
+     {"generators": ["a.1*a.2*a.1.1"], "variables": ["a.1", "a.2", "a.1.1"],
+      "whole_ring": False}),
+    ("variables: x y\n",
+     "variables: \n",
+     {"generators": [], "variables": [], "whole_ring": False}),
+    ("variables: x y\nwhole-ring\n",
+     "variables: x y\nwhole-ring\n",
+     {"generators": [], "variables": ["x", "y"], "whole_ring": True}),
+]
+
+
+@pytest.mark.parametrize("source,text,as_json", POLARIZE_OUTPUTS)
+def test_polarize_output_is_pinned(capsys, tmp_path, source, text, as_json):
+    path = tmp_path / "in.ideal"
+    path.write_text(source)
+    assert run(capsys, "polarize", str(path)) == (0, text, "")
+    code, out, err = run(capsys, "polarize", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(as_json, indent=2, sort_keys=True) + "\n"
+
+
 def test_linear_quotients_exit_codes(capsys, tmp_path):
     good = tmp_path / "good.ideal"
     good.write_text("variables: x1 x2 x3\nx2\nx1*x3\n")

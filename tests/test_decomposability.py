@@ -21,7 +21,8 @@ from symcover.graphs import GraphError, add_whiskers, build_graph, save_graph
 from symcover.ideals import cover_ideal, has_linear_quotients, is_linear_quotients_order
 
 from conftest import (
-    boundary_duplication, c4, certified_order_digest, p3, random_graph, single_edge, whiskered_fish,
+    boundary_duplication, c4, certified_order_digest, cycle, p3, random_graph, single_edge,
+    whiskered_fish,
 )
 from oracles import (
     brute_is_shedding,
@@ -209,6 +210,32 @@ def test_a_clique_is_decided_by_its_links_alone():
     engine = DecompositionEngine([full & ~(1 << v) for v in range(50)])
     assert engine.is_vd()
     assert engine._shedder == {full: 0}
+
+
+def test_certificate_walk_asks_the_engine_only_on_a_memo_miss(monkeypatch):
+    # the walk reads each memoized shedder itself.  On C8 whiskered at every
+    # vertex, at k = 3, all 69 components it walks are in the memo, so it
+    # asks the engine no more than the verdict did; a walk that asks for
+    # every component makes 69 more calls.  A triangle's deletion is one the
+    # clique rule skips, so its walk decides that component on demand.
+    real = DecompositionEngine.is_vd_mask
+    asked = []
+
+    def counting(self, mask):
+        asked.append(mask)
+        return real(self, mask)
+
+    monkeypatch.setattr(DecompositionEngine, "is_vd_mask", counting)
+    g = duplicate_vertices(add_whiskers(cycle(8), cycle(8).vertex_names).graph, 3)
+    assert vertex_decomposable(g)
+    verdict_calls = len(asked)
+    asked.clear()
+    cert = is_vertex_decomposable(g)
+    assert len(cert.nodes) == 69 and len(asked) == verdict_calls
+    triangle = build_graph(["a", "b", "c"], [("a", "b"), ("a", "c"), ("b", "c")])
+    cert = is_vertex_decomposable(triangle)
+    assert render_certificate(cert) == "shed a from {a, b, c}\nshed b from {b, c}"
+    assert validate_certificate(triangle, cert)
 
 
 def test_verdict_invariant_under_relabeling():

@@ -324,6 +324,16 @@ def test_depolarize_round_trip():
         assert depolarize(polarize(ideal)) == ideal
 
 
+def test_depolarize_minimalizes_what_it_merges():
+    # any ideal may be depolarized, so merged generators can divide or equal
+    # one another, and only the minimal ones stay
+    divided = MonomialIdeal(["a.1", "a.2", "b"], [m("a.1*b"), m("a.2")])
+    assert depolarize(divided).generators == (m("a"),)
+    assert depolarize(divided).variables == ("a", "b")
+    equal = MonomialIdeal(["a.1", "a.2", "b"], [m("a.1*b"), m("a.2*b")])
+    assert depolarize(equal).generators == (m("a*b"),)
+
+
 def test_depolarize_merges_only_shadow_names():
     # a slot is read as duplication.shadows_of reads a shadow: nonempty base,
     # ASCII digits, no leading zero

@@ -11,6 +11,7 @@ any other exception would escape as a traceback.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
@@ -57,9 +58,11 @@ from symcover.ideals import (  # noqa: E402
 )
 from symcover.scenarios import _tuple_image_orders  # noqa: E402
 
+from conftest import random_graph  # noqa: E402
 from oracles import (  # noqa: E402
     brute_is_shedding,
     brute_maximal_independent_sets,
+    brute_polarize,
     brute_vertex_decomposable,
     brute_whisker_dominance,
     is_simplicial_vertex,
@@ -334,6 +337,28 @@ def test_graph_to_ideal_text_round_trip(names, k, data):
 @given(ideals())
 def test_depolarize_undoes_polarize(ideal):
     assert depolarize(polarize(ideal)) == ideal
+
+
+def assert_polarizes_as_the_oracle(ideal: MonomialIdeal) -> None:
+    """Same ambient slots, generators in the same order, same slot masks:
+    ``==`` alone ignores order and the ambient ring."""
+    got, want = polarize(ideal), brute_polarize(ideal)
+    assert got.variables == want.variables
+    assert got.generators == want.generators
+    assert list(got._masks.items()) == list(want._masks.items())
+    assert got.is_whole_ring == want.is_whole_ring
+
+
+@PROPERTY
+@given(ideals())
+def test_polarize_matches_the_oracle(ideal):
+    assert_polarizes_as_the_oracle(ideal)
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 4))
+def test_polarize_matches_the_oracle_on_symbolic_powers(seed, n, k):
+    assert_polarizes_as_the_oracle(symbolic_power(random_graph(random.Random(seed), n), k))
 
 
 @PROPERTY
