@@ -188,11 +188,14 @@ def _print_ideal(ideal, fmt: str) -> None:
 def _run_verify(args: argparse.Namespace) -> int:
     reads = {"main": ("S", "counts"), "edge": ("S", "counts", "tuple"), "star": ("S", "spec"),
              "glue": ("graph2", "edge", "tuple", "tuple2")}[args.theorem]
+    # a flag is given when it differs from its default, so an explicitly
+    # empty value counts; --S and --spec default to "" and [], the rest to None
+    defaults = {"S": "", "spec": []}
     for flag in ("S", "counts", "tuple", "spec", "graph2", "edge", "tuple2"):
-        if getattr(args, flag) and flag not in reads:
+        if getattr(args, flag) != defaults.get(flag) and flag not in reads:
             raise GraphError(f"--{flag} does not apply to verify {args.theorem}")
     tuples = {"edge": (args.tuple,), "glue": (args.tuple, args.tuple2)}.get(args.theorem)
-    if args.k is not None and tuples and all(tuples):
+    if args.k is not None and tuples and None not in tuples:
         raise GraphError(f"--k does not apply to verify {args.theorem} when every tuple is given")
     k = 2 if args.k is None else _bounded(args.k, "--k")
     graph = load_graph(args.graph)
@@ -201,7 +204,7 @@ def _run_verify(args: argparse.Namespace) -> int:
 
     def tuple_for(raw: str | None, edge_count: int) -> tuple[int, ...]:
         # a tuple can be spelled out or given as --k for the constant tuple
-        return parse_tuple(raw) if raw else (k,) * edge_count
+        return (k,) * edge_count if raw is None else parse_tuple(raw)
 
     if args.theorem == "main":
         report = verify_main_theorem(graph, names, counts, k_max=k)

@@ -16,15 +16,9 @@ of a vertex has no neighbor that copy x.p lacks, N(x.p+1) ⊆ N(x.p), so a
 maximal independent set that holds x.p holds x.p+1 too: every minimal cover
 meets each vertex's block of shadows in a lower segment x.1 ... x.e, which
 is x^e polarized.  Distinct minimal covers are incomparable, and on lower
-segments containment is divisibility, so no generator divides another.
-``polarize`` skips the scan too: x^a divides x^b exactly when the slots
-x.1 ... x.a lie among x.1 ... x.b, so minimal generators polarize to minimal
-ones, and it reads each generator's slots off names built once per
-variable.  The ``MonomialIdeal`` constructor still minimalizes what it is
-given, because parsed text and ``depolarize`` may hand it multiples:
-``depolarize`` splits each variable name once, but merging the slots of an
-arbitrary ideal can make one generator divide or equal another.  All routes
-hold their generators in one slot layout and one canonical order.
+segments containment is divisibility, so no generator divides another.  The
+``MonomialIdeal`` constructor minimalizes what it is given, because parsed
+text and ``depolarize`` may hand it multiples.
 
 Monomials are exponent maps over named variables; ideals always store their
 unique minimal generating set, canonically sorted by (degree, then
@@ -32,14 +26,14 @@ lexicographic preference for earlier ambient variables).  The zero-generator
 "whole ring" marker stands in for the degenerate ideal generated by 1, which
 only arises from edgeless graphs.
 
-Inside an ideal each generator g is also held as a *slot mask*, built once:
-variable v owns a contiguous block of slots 1..d_v, where d_v is its largest
-exponent among the generators the ideal was given, and bit (v, t) is set iff
-g_v >= t.  This is polarization written as an int (x_v^e becomes the slots
-x_v.1 ... x_v.e).  Earlier variables own higher bits, so within one degree a
-larger mask is a lexicographically larger exponent vector, which is the
-canonical order.  Write G, G', C for the masks of g, g', c.  For any
-exponents:
+Inside an ideal each generator g is also held as a *slot mask*, its
+polarization written as an int.  Variable v owns a block of d_v bits, where
+the depth d_v is its largest exponent among the minimal generators, and
+earlier variables own higher blocks.  Slot v.t is the t-th bit of v's block
+from the top, so bit (v, t) is set iff g_v >= t, and ``polarize`` keeps
+every mask and only names the slots.  Within one degree a larger mask is a
+lexicographically larger exponent vector, which is the canonical order.
+Write G, G', C for the masks of g, g', c.  For any exponents:
 
 * g divides c iff ``G & ~C == 0``;
 * ``G & ~C`` is the mask of the colon g : c, and its popcount is the degree;
@@ -85,15 +79,13 @@ class Monomial:
     exps: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        seen = set()
         for var, e in self.exps:
             if e < 1:
                 raise IdealError(f"exponent of {var!r} must be >= 1, got {e}")
-            if var in seen:
-                raise IdealError(f"variable {var!r} repeated in monomial")
-            seen.add(var)
-        if tuple(sorted(self.exps)) != self.exps:
-            raise IdealError("monomial exponents must be sorted; use Monomial.of()")
+        for (u, _), (v, _) in zip(self.exps, self.exps[1:]):
+            if u >= v:
+                raise IdealError(f"variable {v!r} repeated in monomial" if u == v
+                                 else "monomial exponents must be sorted; use Monomial.of()")
 
     @classmethod
     def of(cls, exponents: Mapping[str, int] | Iterable[tuple[str, int]]) -> Monomial:
@@ -156,29 +148,31 @@ def parse_monomial(text: str) -> Monomial:
 # ---------------------------------------------------------------------------
 # ideals
 
-def _slot_offsets(depths: Sequence[int]) -> list[int]:
-    """The lowest slot bit of each variable, given each one's number of slots:
-    earlier variables own higher bits (see the module docstring)."""
-    offsets = [0] * len(depths)
-    shift = 0
-    for i in reversed(range(len(depths))):
-        offsets[i] = shift
-        shift += depths[i]
-    return offsets
+def _slot_tops(depths: Sequence[int]) -> list[int]:
+    """The bit just above each variable's slot block, given each one's depth:
+    slot t is bit ``top - t``, and x^e sets ``((1 << e) - 1) << (top - e)``."""
+    tops = []
+    top = sum(depths)
+    for d in depths:
+        tops.append(top)
+        top -= d
+    return tops
 
 
-def _slot_masks(variables: Sequence[str], gens: Iterable[Monomial]) -> list[tuple[Monomial, int]]:
-    """Every generator with its slot mask over one layout (see the module docstring)."""
+def _slot_masks(variables: Sequence[str],
+                gens: Iterable[Monomial]) -> tuple[list[int], list[tuple[Monomial, int]]]:
+    """Each variable's depth over ``gens``, and every generator with its slot mask."""
     rank = {v: i for i, v in enumerate(variables)}
-    depth = [0] * len(rank)
+    depths = [0] * len(rank)
     for g in gens:
         for v, e in g.exps:
             i = rank.get(v)
             if i is None:
                 raise IdealError(f"generator uses {v!r} outside the ambient variables")
-            depth[i] = max(depth[i], e)
-    offset = _slot_offsets(depth)
-    return [(g, sum(((1 << e) - 1) << offset[rank[v]] for v, e in g.exps)) for g in gens]
+            depths[i] = max(depths[i], e)
+    tops = _slot_tops(depths)
+    return depths, [(g, sum(((1 << e) - 1) << (tops[rank[v]] - e) for v, e in g.exps))
+                    for g in gens]
 
 
 def _minimalize(masks: Iterable[tuple[Monomial, int]]) -> list[tuple[Monomial, int]]:
@@ -197,21 +191,30 @@ def _minimalize(masks: Iterable[tuple[Monomial, int]]) -> list[tuple[Monomial, i
 class MonomialIdeal:
     """A monomial ideal held by its minimal generating set and their slot masks."""
 
-    __slots__ = ("_variables", "_generators", "_masks", "_whole")
+    __slots__ = ("_variables", "_depths", "_generators", "_masks", "_whole")
 
     def __init__(self, variables: Sequence[str], generators: Iterable[Monomial] = ()):
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise IdealError("ambient variables must be distinct")
-        masks = _minimalize(_slot_masks(variables, set(generators)))
-        if any(mask == 0 for _, mask in masks):
-            raise IdealError("a unit generator is not allowed; use the whole-ring marker")
-        self._install(variables, masks)
+        depths, masks = _slot_masks(variables, set(generators))
+        masks = _minimalize(masks)
+        covered = 0
+        for _, mask in masks:
+            if not mask:
+                raise IdealError("a unit generator is not allowed; use the whole-ring marker")
+            covered |= mask
+        if covered != (1 << sum(depths)) - 1:
+            # a dropped multiple alone held some variable's largest exponent
+            depths, masks = _slot_masks(variables, [g for g, _ in masks])
+        self._install(variables, depths, masks)
 
-    def _install(self, variables: tuple[str, ...], masks: Iterable[tuple[Monomial, int]]) -> None:
-        """Hold minimal generators, given with their slot masks over one layout,
-        in the canonical order: degree, then larger mask first."""
+    def _install(self, variables: tuple[str, ...], depths: Sequence[int],
+                 masks: Iterable[tuple[Monomial, int]]) -> None:
+        """Hold minimal generators, given with their slot masks over the layout
+        of ``depths``, in the canonical order: degree, then larger mask first."""
         self._variables = variables
+        self._depths = tuple(depths)
         self._masks = dict(sorted(masks, key=lambda item: (item[1].bit_count(), -item[1])))
         self._generators = tuple(self._masks)
         self._whole = False
@@ -273,14 +276,11 @@ def symbolic_power(graph: Graph, k: int) -> MonomialIdeal:
     of its shadows in that cover as exponent.
 
     Each generator is read straight off the cover mask, with no
-    minimalization (see the module docstring): since N(x.p+1) ⊆ N(x.p), a
-    minimal cover meets each block of shadows in its lowest e bits, so that
-    part of the cover, shifted, is the slot block of x^e, and the minimal
-    covers, pairwise incomparable, give pairwise non-dividing monomials.
-    Every vertex on an edge has a cover holding its whole block (the
-    complement of a maximal independent set through a neighbor's first
-    copy), so the layout of k slots per such vertex is the one
-    ``MonomialIdeal`` would build from these generators.
+    minimalization (see the module docstring): x_i's exponent e is the
+    popcount of its shadows in the cover, and its slots the top e bits of
+    its block.  Every vertex on an edge has a cover holding all k of its
+    shadows (the complement of a maximal independent set through a
+    neighbor's first copy), so its depth is k.
     """
     if k < 1:
         raise IdealError(f"symbolic power exponent must be >= 1, got {k}")
@@ -290,25 +290,26 @@ def symbolic_power(graph: Graph, k: int) -> MonomialIdeal:
     t = (k,) * graph.edge_count
     rows = duplicated_edge_rows(len(names), graph.edge_indices, t)
     blocks = shadow_blocks(len(names), graph.edge_indices, t)
-    offsets = _slot_offsets([block.bit_count() for block in blocks])
-    # vertices on an edge in name order, as Monomial pairs are sorted, with
-    # the shifts that move a block's cover bits onto its slots
-    by_name = sorted((name, block, block.bit_length() - block.bit_count(), offset)
-                     for name, block, offset in zip(names, blocks, offsets) if block)
+    depths = [block.bit_count() for block in blocks]
+    # vertices on an edge in name order, as Monomial pairs are sorted, each
+    # with the slot masks of x^0 ... x^k
+    by_name = sorted((name, block, [((1 << e) - 1) << (top - e) for e in range(d + 1)])
+                     for name, block, d, top in zip(names, blocks, depths, _slot_tops(depths))
+                     if d)
     full = (1 << len(rows)) - 1
     masks = []
     for independent in _bitgraph.maximal_independent_sets(rows, full):
         cover = full ^ independent
         exps = []
         slots = 0
-        for name, block, first, offset in by_name:
-            part = block & cover
-            if part:
-                exps.append((name, part.bit_count()))
-                slots |= part >> first << offset
+        for name, block, table in by_name:
+            e = (block & cover).bit_count()
+            if e:
+                exps.append((name, e))
+                slots |= table[e]
         masks.append((Monomial(tuple(exps)), slots))
     ideal = MonomialIdeal.__new__(MonomialIdeal)
-    ideal._install(names, masks)
+    ideal._install(names, depths, masks)
     return ideal
 
 
@@ -318,47 +319,20 @@ def symbolic_power(graph: Graph, k: int) -> MonomialIdeal:
 def polarize(ideal: MonomialIdeal) -> MonomialIdeal:
     """Replace each power x^a by the product of slot variables x.1 ... x.a.
 
-    The ambient ring takes slots 1..(max exponent of x over the generators)
-    for each base variable, ordered by (base position, slot).  Squarefree
-    ideals are fixed up to the renaming x -> x.1.
-
-    Each variable's slot names are built once, and each slot owns one bit,
-    earlier slots higher, as ``_slot_offsets([1] * n)`` lays them out; a
-    generator is the sorted names of its slots, and its mask the OR of
-    their bits.  x^a divides x^b exactly when slots(a) ⊆ slots(b), so the
-    minimal, distinct generators of ``ideal`` polarize to minimal, distinct
-    generators and are installed with no minimalization.  The slot names
-    are distinct, because ``split_shadow`` reads ``f"{v}.{j}"`` back as
-    (v, j), and every slot lies in some generator, so the layout is the one
-    the ``MonomialIdeal`` constructor would build.
+    The ambient ring takes the slots x.1 ... x.d of each variable x of depth
+    d, in variable order.  Squarefree ideals are fixed up to the renaming
+    x -> x.1.  Slot x.t keeps its bit (see the module docstring), so every
+    generator keeps its mask and its place in the order.
     """
     if ideal.is_whole_ring:
         return ideal
-    depth = dict.fromkeys(ideal.variables, 0)
-    for g in ideal.generators:
-        for v, e in g.exps:
-            if e > depth[v]:
-                depth[v] = e
-    variables: list[str] = []
-    # per variable: its slots x.1 ... x.d as Monomial pairs, and the bit just above x.1
-    layout: dict[str, tuple[list[tuple[str, int]], int]] = {}
-    top = sum(depth.values())
-    for v, d in depth.items():
-        slots = [(f"{v}.{j}", 1) for j in range(1, d + 1)]
-        variables += (name for name, _ in slots)
-        layout[v] = (slots, top)
-        top -= d
-    masks = []
-    for g in ideal.generators:
-        pairs: list[tuple[str, int]] = []
-        mask = 0
-        for v, e in g.exps:
-            slots, above = layout[v]
-            pairs += slots[:e]
-            mask |= ((1 << e) - 1) << (above - e)
-        masks.append((Monomial(tuple(sorted(pairs))), mask))
+    slots = {v: [(f"{v}.{t}", 1) for t in range(1, d + 1)]
+             for v, d in zip(ideal.variables, ideal._depths)}
+    variables = tuple(name for names in slots.values() for name, _ in names)
+    gens = [Monomial(tuple(sorted(pair for v, e in g.exps for pair in slots[v][:e])))
+            for g in ideal.generators]
     polarized = MonomialIdeal.__new__(MonomialIdeal)
-    polarized._install(tuple(variables), masks)
+    polarized._install(variables, (1,) * len(variables), zip(gens, ideal._masks.values()))
     return polarized
 
 

@@ -119,6 +119,10 @@ POLARIZE_OUTPUTS = [
     ("variables: x y\nwhole-ring\n",
      "variables: x y\nwhole-ring\n",
      {"generators": [], "variables": ["x", "y"], "whole_ring": True}),
+    # y's only exponent sits in a dropped multiple of x, so y gets no slot
+    ("variables: x y\nx\nx^2*y\n",
+     "variables: x.1\nx.1\n",
+     {"generators": ["x.1"], "variables": ["x.1"], "whole_ring": False}),
 ]
 
 
@@ -320,6 +324,12 @@ def test_usage_errors_exit_2(capsys, c4_path, tmp_path):
         ("verify", "glue", "--graph", str(FIXTURES / "glue_g.graph"),
          "--graph2", str(FIXTURES / "glue_h.graph"), "--edge", "x1,x2", "--S", "x3",
          "--counts", "x3=2", "--spec", "x1:3"),
+        # an explicitly empty flag is given, not absent
+        ("verify", "edge", "--graph", c4_path, "--S", "x1", "--tuple", ""),
+        ("verify", "main", "--graph", c4_path, "--S", "x1", "--tuple", ""),
+        ("verify", "glue", "--graph", str(FIXTURES / "glue_g.graph"),
+         "--graph2", str(FIXTURES / "glue_h.graph"), "--edge", "x1,x2",
+         "--tuple", "", "--tuple2", "", "--k", "1"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -84,6 +85,14 @@ def test_monomial_parse_render_round_trip():
         parse_monomial("x^0meow*")
     with pytest.raises(IdealError):
         Monomial.of({"x": -1})
+
+
+def test_monomial_rejects_a_zero_exponent_a_repeat_and_an_unsorted_pair():
+    for exps, message in (((("x", 1), ("y", 0)), "exponent of 'y' must be >= 1, got 0"),
+                          ((("x", 1), ("x", 2)), "variable 'x' repeated in monomial"),
+                          ((("y", 1), ("x", 1)), "must be sorted; use Monomial.of()")):
+        with pytest.raises(IdealError, match=re.escape(message)):
+            Monomial(exps)
 
 
 def test_ideal_minimalizes_and_sorts():
@@ -310,8 +319,12 @@ def test_polarize_examples():
 
 
 def test_polarize_matches_vertex_duplication():
+    # the same masks in the same order: a certified order of J(G_k) is one of J(G)^(k)
     for k in (1, 2, 3):
-        assert polarize(symbolic_power(c4(), k)) == cover_ideal(duplicate_vertices(c4(), k))
+        polarized = polarize(symbolic_power(c4(), k))
+        duplicated = cover_ideal(duplicate_vertices(c4(), k))
+        assert polarized == duplicated
+        assert list(polarized._masks.items()) == list(duplicated._masks.items())
 
 
 def test_depolarize_round_trip():

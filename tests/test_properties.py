@@ -341,11 +341,13 @@ def test_depolarize_undoes_polarize(ideal):
 
 def assert_polarizes_as_the_oracle(ideal: MonomialIdeal) -> None:
     """Same ambient slots, generators in the same order, same slot masks:
-    ``==`` alone ignores order and the ambient ring."""
+    ``==`` alone ignores order and the ambient ring.  The slot masks are
+    also the ideal's own: its layout is its polarization."""
     got, want = polarize(ideal), brute_polarize(ideal)
     assert got.variables == want.variables
     assert got.generators == want.generators
     assert list(got._masks.items()) == list(want._masks.items())
+    assert list(got._masks.values()) == list(ideal._masks.values())
     assert got.is_whole_ring == want.is_whole_ring
 
 
