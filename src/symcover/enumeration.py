@@ -11,13 +11,18 @@ worst case but entirely adequate below ~8 vertices, which is all this
 package ever enumerates.  The same permutations give the automorphism
 group: an automorphism preserves the partition, so it is one of them, and
 a permutation is one exactly when it maps every edge onto an edge.
+
+The levels up to 7 vertices never change, so they ship as a table,
+``graphs7.txt``, that vertex augmentation generated; only level 8 is
+augmented at run time.
 """
 
 from __future__ import annotations
 
+import os
 from functools import cache
 from itertools import chain, combinations, permutations, product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ._bitgraph import bits, components
 from .graphs import Graph, build_graph
@@ -113,23 +118,33 @@ def automorphisms(rows: Sequence[int]) -> list[tuple[int, ...]]:
     return found
 
 
-@cache
-def graphs_up_to_isomorphism(n: int) -> tuple[EdgeSet, ...]:
-    """All graphs on exactly n vertices, one representative per class.
+def _tabled_level(n: int) -> tuple[EdgeSet, ...]:
+    """Level n, 1 <= n <= 7, read from the bundled table.
 
-    Built by vertex augmentation: every representative on n-1 vertices is
-    extended by a new vertex with every possible neighborhood, then
-    deduplicated by canonical form.  Results are sorted by canonical form,
-    so the order is reproducible.  Each level is built once per process.
+    Line n of the table lists the level's representatives, in order, each
+    as the hex mask of its edges with pairs numbered as in ``_pair_bits``.
+    Only that line is parsed.
     """
-    if n == 0:
-        return (frozenset(),)
+    with open(os.path.join(os.path.dirname(__file__), "graphs7.txt"), encoding="ascii") as table:
+        line = table.read().splitlines()[n - 1]
+    pairs = list(combinations(range(n), 2))
+    return tuple(frozenset(pairs[i] for i in bits(int(mask, 16))) for mask in line.split())
+
+
+def _augmented(n: int, parents: Iterable[EdgeSet]) -> tuple[EdgeSet, ...]:
+    """Level n built from level n-1 by vertex augmentation.
+
+    Every representative on n-1 vertices is extended by a new vertex with
+    every possible neighborhood, then deduplicated by canonical form; the
+    first candidate of each class is kept.  Results are sorted by canonical
+    form, so the order is reproducible.
+    """
     reps: dict[tuple, EdgeSet] = {}
     new = n - 1
-    for smaller in graphs_up_to_isomorphism(n - 1):
-        for neighborhood in range(1 << (n - 1)):
+    for smaller in parents:
+        for neighborhood in range(1 << new):
             edges = set(smaller)
-            for v in range(n - 1):
+            for v in range(new):
                 if neighborhood >> v & 1:
                     edges.add((v, new))
             candidate = frozenset(edges)
@@ -137,6 +152,24 @@ def graphs_up_to_isomorphism(n: int) -> tuple[EdgeSet, ...]:
             if key not in reps:
                 reps[key] = candidate
     return tuple(reps[key] for key in sorted(reps))
+
+
+@cache
+def graphs_up_to_isomorphism(n: int) -> tuple[EdgeSet, ...]:
+    """All graphs on exactly n vertices, one representative per class.
+
+    Levels up to 7 vertices (1,252 graphs) are read from the bundled table,
+    which ``_augmented`` generated; larger levels are augmented from there.
+    Each level is produced once per process.
+    """
+    if n == 0:
+        return (frozenset(),)
+    if n <= 7:
+        return _tabled_level(n)
+    level = _tabled_level(7)
+    for m in range(8, n + 1):
+        level = _augmented(m, level)
+    return level
 
 
 def _is_connected(n: int, edges: EdgeSet) -> bool:

@@ -283,9 +283,9 @@ def add_whiskers(
     """Attach pendant vertices at each support vertex.
 
     ``counts`` gives the number of whiskers per support vertex (an int means
-    that many at every support; default one each).  A count for a vertex
-    outside ``supports`` is ignored; one for a name that is not a vertex is
-    an error.
+    that many at every support; default one each).  A support without a
+    count is an error.  A count for a vertex outside ``supports`` is
+    ignored; one for a name that is not a vertex is an error.
     """
     support_list = sorted(set(supports), key=graph.index_of)
     if isinstance(counts, int):
@@ -295,7 +295,9 @@ def add_whiskers(
             raise GraphError(f"whisker count for unknown vertex {name!r}")
     total = 0
     for s in support_list:
-        c = counts.get(s, 0)
+        if s not in counts:
+            raise GraphError(f"no whisker count for support {s!r}")
+        c = counts[s]
         if c < 1:
             raise GraphError(f"whisker count for {s!r} must be >= 1, got {c}")
         total += c

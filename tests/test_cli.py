@@ -394,6 +394,12 @@ def test_verify_edge_constant_k_counts_whiskers_once(capsys):
         assert "t=1,1,1,1,1" in out
 
 
+def test_verify_names_a_support_left_without_a_count(capsys, c4_path):
+    code, out, err = run(capsys, "verify", "main", "--graph", c4_path, "--S", "x1",
+                         "--counts", "x2=3")
+    assert (code, out, err) == (2, "", "error: no whisker count for support 'x1'\n")
+
+
 HUGE = "99999999999999999999"
 GLUE = ("--graph", str(FIXTURES / "glue_g.graph"), "--graph2", str(FIXTURES / "glue_h.graph"),
         "--edge", "x1,x2")

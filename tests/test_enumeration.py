@@ -4,7 +4,10 @@ import hashlib
 import random
 from itertools import permutations
 
+import pytest
+
 from symcover.enumeration import (
+    _augmented,
     _rows,
     as_graph,
     automorphisms,
@@ -42,6 +45,28 @@ def test_representatives_and_keys_are_pinned():
             keys.update(f"{canonical_form(n, edges)}\n".encode())
     assert reps.hexdigest() == "11904d0b965f65d6243ca50ed61503be185eda23df7e226ae98af0c970a424e9"
     assert keys.hexdigest() == "3aa91606b2c5782fd8af0d418229cb4261cd8b3379c851e9ee301070b5e30b08"
+
+
+def test_bundled_levels_match_augmentation():
+    # each tabled level, rebuilt from the tabled level below it by the
+    # augmentation that generated the table, gives the same representatives
+    # in the same order
+    for n in range(2, 8):
+        assert _augmented(n, graphs_up_to_isomorphism(n - 1)) == graphs_up_to_isomorphism(n), n
+
+
+@pytest.mark.slow
+def test_level_eight_is_pinned():
+    # level 8 is the one level still augmented at run time; sha256 of every
+    # representative's sorted edge list, in order, taken while every level
+    # was augmented
+    level = graphs_up_to_isomorphism(8)
+    assert len(level) == 12346
+    assert len(connected_graphs_up_to_isomorphism(8)) == 11117
+    reps = hashlib.sha256()
+    for edges in level:
+        reps.update(f"{sorted(edges)}\n".encode())
+    assert reps.hexdigest() == "e2702c578f98f2868dd7b4687e25a96fad3e4e4a3d425e63108cd31ef3f29253"
 
 
 def test_levels_are_built_once_and_immutable():

@@ -21,8 +21,6 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 ALLOWED = {
     "decomposability.py: DecompositionEngine.is_vd_mask":
         "one frame per link or deletion step; making it iterative is ROADMAP item 2",
-    "enumeration.py: graphs_up_to_isomorphism":
-        "one level per vertex, and the searches stop at 8 vertices",
 }
 
 
